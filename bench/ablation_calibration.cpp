@@ -37,9 +37,7 @@ double sensitivity(sim::SensorRig& rig, victim::PowerVirus& virus,
   return off - on;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   const util::Cli cli(argc, argv, {"seed", "readouts"});
   const auto seed = cli.get_seed("seed", 9);
   const auto readouts =
@@ -77,4 +75,10 @@ int main(int argc, char** argv) {
                "placement-dependent; uncalibrated sensors sit outside the "
                "settle window and sense little or nothing.\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return util::cli_main(argc, argv, run);
 }

@@ -23,7 +23,9 @@
 
 using namespace leakydsp;
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   const util::Cli cli(argc, argv, {"seed", "readouts"});
   const auto seed = cli.get_seed("seed", 8);
   const auto readouts =
@@ -78,4 +80,10 @@ int main(int argc, char** argv) {
                "path); n = 3 already resolves single-group activity "
                "changes, matching the paper's choice.\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return util::cli_main(argc, argv, run);
 }

@@ -54,9 +54,7 @@ bool identical(const attack::CampaignResult& a,
   return true;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   const util::Cli cli(argc, argv, {"traces", "seed", "threads", "sweep!"},
                       obs::cli_options());
   const std::string trace_out = obs::apply_cli(cli);
@@ -163,4 +161,10 @@ int main(int argc, char** argv) {
     return 1;
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return util::cli_main(argc, argv, run);
 }

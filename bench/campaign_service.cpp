@@ -69,9 +69,7 @@ serve::StandardCampaignSpec spec_for(std::size_t index, std::uint64_t seed,
   return spec;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   const util::Cli cli(argc, argv,
                       {"campaigns", "traces", "seed", "threads",
                        "max-resident", "budget-mb", "quantum",
@@ -202,4 +200,10 @@ int main(int argc, char** argv) {
     return 1;
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return util::cli_main(argc, argv, run);
 }

@@ -19,7 +19,9 @@
 
 using namespace leakydsp;
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   const util::Cli cli(argc, argv, {"seed", "payload"});
   util::Rng rng(cli.get_seed("seed", 18));
   const auto payload_bits =
@@ -110,4 +112,10 @@ int main(int argc, char** argv) {
                "margins, and at this channel's SNR the symbol errors swamp the gain — a\n"
                "negative result that confirms the paper's choice of simple on-off keying.\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return util::cli_main(argc, argv, run);
 }

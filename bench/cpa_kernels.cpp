@@ -2,7 +2,7 @@
 //
 //   tiers      — add_traces under each dispatch tier (scalar / AVX2 /
 //                AVX-512, whichever the host offers) against the
-//                kClassAccum baseline measured in the same run
+//                kGemm reference measured in the same run
 //   multibyte  — byte-major panel accumulation (each key byte re-streams
 //                the whole POI matrix) vs the L1-blocked multi-byte order
 //                add_traces_simd uses (each trace block streamed once
@@ -13,7 +13,7 @@
 //
 // Prints a table and writes BENCH_cpa_kernels.json (host metadata
 // included) into the working directory. The acceptance bar for this
-// machine class: simd_kernel at the detected tier >= 3x class_accum.
+// machine class: simd_kernel at the detected tier >= 3x gemm.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -63,9 +63,7 @@ std::vector<util::SimdTier> available_tiers() {
   return tiers;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   const util::Cli cli(argc, argv, {"quick!"}, obs::cli_options());
   const std::string trace_out = obs::apply_cli(cli);
   const bool quick = cli.get_flag("quick");
@@ -86,24 +84,24 @@ int main(int argc, char** argv) {
   }
   for (auto& s : rows) s = 40.0 + rng.gaussian();
 
-  // ---- kClassAccum baseline + kSimd under every available tier ----
-  attack::CpaAttack cls(kPoi, attack::CpaKernel::kClassAccum);
+  // ---- kGemm reference + kSimd under every available tier ----
+  attack::CpaAttack gemm(kPoi, attack::CpaKernel::kGemm);
   const auto baseline = run_bench(40 * kScale, [&](std::size_t n) {
-    for (std::size_t r = 0; r < n; ++r) cls.add_traces(cts, rows);
-    g_sink = static_cast<double>(cls.trace_count());
+    for (std::size_t r = 0; r < n; ++r) gemm.add_traces(cts, rows);
+    g_sink = static_cast<double>(gemm.trace_count());
     return n * kBatch;
   });
   table.row()
       .add("tiers")
-      .add("class_accum")
+      .add("gemm")
       .add(baseline.ns_per_op, 2)
       .add(baseline.ops)
       .add(1.0, 2);
   report.row()
       .set("section", "tiers")
-      .set("variant", "class_accum")
+      .set("variant", "gemm")
       .set("ns_per_op", baseline.ns_per_op)
-      .set("speedup_vs_class_accum", 1.0);
+      .set("speedup_vs_gemm", 1.0);
 
   for (const util::SimdTier tier : available_tiers()) {
     util::set_simd_tier_override(tier);
@@ -126,7 +124,7 @@ int main(int argc, char** argv) {
         .set("section", "tiers")
         .set("variant", variant)
         .set("ns_per_op", res.ns_per_op)
-        .set("speedup_vs_class_accum", speedup);
+        .set("speedup_vs_gemm", speedup);
   }
   util::set_simd_tier_override(std::nullopt);
 
@@ -211,4 +209,10 @@ int main(int argc, char** argv) {
   obs::write_trace_out(trace_out);
   std::cout << "\nwrote BENCH_cpa_kernels.json\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return util::cli_main(argc, argv, run);
 }

@@ -17,7 +17,9 @@
 
 using namespace leakydsp;
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   const util::Cli cli(argc, argv, {"seed", "max-traces"});
   util::Rng rng(cli.get_seed("seed", 20));
   const auto max_traces =
@@ -110,4 +112,10 @@ int main(int argc, char** argv) {
                "needs several times more traces (it models one of the "
                "eight leaking bits).\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return util::cli_main(argc, argv, run);
 }

@@ -16,7 +16,9 @@
 
 using namespace leakydsp;
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   const util::Cli cli(argc, argv, {"seed", "inferences"});
   util::Rng rng(cli.get_seed("seed", 16));
   const auto inferences =
@@ -78,4 +80,10 @@ int main(int argc, char** argv) {
                "the architecture — is recovered exactly for every "
                "candidate.\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return util::cli_main(argc, argv, run);
 }

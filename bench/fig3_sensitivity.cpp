@@ -25,7 +25,9 @@
 
 using namespace leakydsp;
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   const util::Cli cli(argc, argv, {"seed", "readouts"});
   const auto seed = cli.get_seed("seed", 1);
   const auto readouts =
@@ -103,4 +105,10 @@ int main(int argc, char** argv) {
             << util::format_double(leaky_fit.slope / tdc_fit.slope, 2)
             << " (paper: " << util::format_double(3.45 / 1.09, 2) << ")\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return util::cli_main(argc, argv, run);
 }

@@ -54,9 +54,7 @@ RegionResult measure(sensors::VoltageSensor& sensor,
   return result;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   const util::Cli cli(argc, argv, {"seed", "readouts"});
   const auto seed = cli.get_seed("seed", 2);
   const auto readouts =
@@ -122,4 +120,10 @@ int main(int argc, char** argv) {
             << " (paper: 5 or 6); all regions sense the activity: "
             << (stats::min_value(leaky_deltas) > 1.0 ? "yes" : "no") << "\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return util::cli_main(argc, argv, run);
 }

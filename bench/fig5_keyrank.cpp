@@ -25,7 +25,9 @@
 
 using namespace leakydsp;
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   const util::Cli cli(argc, argv, {"seed", "max-traces", "quick!"});
   const auto seed = cli.get_seed("seed", 4);
   const bool quick = cli.get_flag("quick");
@@ -128,4 +130,10 @@ int main(int argc, char** argv) {
             << "; worst: P" << worst + 1 << "; closest to victim: P"
             << closest + 1 << "\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return util::cli_main(argc, argv, run);
 }

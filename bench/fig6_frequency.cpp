@@ -21,7 +21,9 @@
 
 using namespace leakydsp;
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   const util::Cli cli(argc, argv, {"seed", "max-traces", "quick!"});
   const auto seed = cli.get_seed("seed", 8);
   const bool quick = cli.get_flag("quick");
@@ -74,4 +76,10 @@ int main(int argc, char** argv) {
   std::cout << "\nExpected shape: traces to break increase monotonically "
                "with the victim clock frequency.\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return util::cli_main(argc, argv, run);
 }

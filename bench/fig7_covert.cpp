@@ -25,7 +25,9 @@
 
 using namespace leakydsp;
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   const util::Cli cli(argc, argv, {"seed", "runs", "payload"});
   const auto seed = cli.get_seed("seed", 6);
   const auto runs = static_cast<std::size_t>(cli.get_int("runs", 10));
@@ -75,4 +77,10 @@ int main(int argc, char** argv) {
   std::cout << "\nPaper reference at 4.0 ms: TR = 247.94 bit/s, "
                "BER = 0.24%; BER < 1% for bit times >= 3.5 ms.\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return util::cli_main(argc, argv, run);
 }

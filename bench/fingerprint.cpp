@@ -18,7 +18,9 @@
 
 using namespace leakydsp;
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   const util::Cli cli(argc, argv, {"seed", "train", "test"});
   util::Rng rng(cli.get_seed("seed", 15));
   const auto train_reps = static_cast<std::size_t>(cli.get_int("train", 4));
@@ -89,4 +91,10 @@ int main(int argc, char** argv) {
             << "% (chance: " << 100.0 / static_cast<double>(zoo.size())
             << "%)\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return util::cli_main(argc, argv, run);
 }

@@ -5,7 +5,7 @@
 //   stages       — binary-search stages_within vs the O(1) uniform fast path
 //   gaussian     — Box–Muller gaussian() vs the ziggurat gaussian_zig()
 //   sample       — LeakyDSP / TDC scalar sample() loop vs sample_batch()
-//   cpa          — CpaAttack add_trace loop vs batched GEMM vs class kernel
+//   cpa          — CpaAttack add_trace loop vs batched GEMM vs kSimd kernel
 //
 //   $ ./hotpath_micro [--quick]
 //
@@ -55,9 +55,7 @@ BenchResult run_bench(std::size_t iterations, Body&& body) {
   return {seconds / static_cast<double>(ops) * 1e9, ops};
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   const util::Cli cli(argc, argv, {"quick!"}, obs::cli_options());
   const std::string trace_out = obs::apply_cli(cli);
   const bool quick = cli.get_flag("quick");
@@ -214,7 +212,7 @@ int main(int argc, char** argv) {
     record("tdc_sample", "scalar_loop", scalar, "sample_batch", batch);
   }
 
-  // ---- CPA accumulation: per-trace loop vs GEMM batch vs class kernel ----
+  // ---- CPA accumulation: per-trace loop vs GEMM batch vs kSimd kernel ----
   {
     constexpr std::size_t kPoi = 12;
     constexpr std::size_t kBatch = 64;
@@ -242,12 +240,6 @@ int main(int argc, char** argv) {
       g_sink = static_cast<double>(gemm.trace_count());
       return n * kBatch;
     });
-    attack::CpaAttack cls(kPoi, attack::CpaKernel::kClassAccum);
-    const auto cls_res = run_bench(40 * kScale, [&](std::size_t n) {
-      for (std::size_t r = 0; r < n; ++r) cls.add_traces(cts, rows);
-      g_sink = static_cast<double>(cls.trace_count());
-      return n * kBatch;
-    });
     attack::CpaAttack simd(kPoi, attack::CpaKernel::kSimd);
     const auto simd_res = run_bench(40 * kScale, [&](std::size_t n) {
       for (std::size_t r = 0; r < n; ++r) simd.add_traces(cts, rows);
@@ -255,8 +247,7 @@ int main(int argc, char** argv) {
       return n * kBatch;
     });
     record("cpa_add_traces", "add_trace_loop", loop, "gemm_batch", gemm_res);
-    record("cpa_add_traces", "gemm_batch", gemm_res, "class_accum", cls_res);
-    record("cpa_add_traces", "class_accum", cls_res, "simd_kernel", simd_res);
+    record("cpa_add_traces", "gemm_batch", gemm_res, "simd_kernel", simd_res);
   }
 
   std::cout << "=== hot-path microbenchmarks"
@@ -267,4 +258,10 @@ int main(int argc, char** argv) {
   obs::write_trace_out(trace_out);
   std::cout << "\nwrote BENCH_hotpath.json\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return util::cli_main(argc, argv, run);
 }

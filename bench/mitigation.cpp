@@ -45,9 +45,7 @@ std::string verdict(const fabric::CheckReport& report) {
   return out + ")";
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   const util::Cli cli(argc, argv, {"seed", "max-traces", "quick!"});
   const auto seed = cli.get_seed("seed", 10);
   const bool quick = cli.get_flag("quick");
@@ -339,4 +337,10 @@ int main(int argc, char** argv) {
                  "buys.\n";
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return util::cli_main(argc, argv, run);
 }

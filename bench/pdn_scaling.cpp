@@ -2,7 +2,7 @@
 //
 //   scaling  — iterations and wall time per cold dc-droop solve vs grid
 //              size, for every solver variant (plain reference CG, IC(0)
-//              PCG, SSOR PCG, geometric two-grid), plus the one-time
+//              PCG, geometric two-grid), plus the one-time
 //              preconditioner setup cost
 //   repeated — the campaign-shaped workload: K fresh right-hand sides
 //              against one frozen topology. The pre-PR path re-ran plain
@@ -55,9 +55,7 @@ std::vector<pdn::CurrentInjection> make_draws(util::Rng& rng, std::size_t n,
   return draws;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   const util::Cli cli(argc, argv, {"quick!"}, obs::cli_options());
   const std::string trace_out = obs::apply_cli(cli);
   const bool quick = cli.get_flag("quick");
@@ -70,7 +68,7 @@ int main(int argc, char** argv) {
       quick ? std::vector<int>{24, 48} : std::vector<int>{48, 96, 144, 224};
   const pdn::SolverKind variants[] = {
       pdn::SolverKind::kReferenceCg, pdn::SolverKind::kPcgIc0,
-      pdn::SolverKind::kPcgSsor, pdn::SolverKind::kTwoGrid};
+      pdn::SolverKind::kTwoGrid};
   const std::size_t reps = quick ? 1 : 3;
 
   // ------------------------------------------------ scaling vs grid size
@@ -285,4 +283,10 @@ int main(int argc, char** argv) {
   obs::write_trace_out(trace_out);
   std::cout << "\nwrote BENCH_pdn_scaling.json\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return util::cli_main(argc, argv, run);
 }

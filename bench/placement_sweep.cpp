@@ -121,9 +121,7 @@ bool identical(const attack::CampaignResult& a,
   return true;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   const util::Cli cli(argc, argv, {"quick!"}, obs::cli_options());
   const std::string trace_out = obs::apply_cli(cli);
   const bool quick = cli.get_flag("quick");
@@ -290,4 +288,10 @@ int main(int argc, char** argv) {
   obs::write_trace_out(trace_out);
   std::cout << "\nwrote BENCH_placement_sweep.json\n";
   return identity_mismatches == 0 ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return util::cli_main(argc, argv, run);
 }

@@ -67,9 +67,7 @@ std::string scan_verdict(const fabric::Netlist& nl) {
   return "caught: " + report.violations.front().rule;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   const util::Cli cli(argc, argv, {"seed"});
   util::Rng rng(cli.get_seed("seed", 14));
   const sim::Basys3Scenario scenario;
@@ -136,4 +134,10 @@ int main(int argc, char** argv) {
                "either caught (TDC, RO) or built from the LUT/FF resources\n"
                "that bitstream scanners focus on (RDS, VITI, PPWM).\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return util::cli_main(argc, argv, run);
 }

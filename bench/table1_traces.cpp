@@ -34,7 +34,9 @@
 
 using namespace leakydsp;
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   const util::Cli cli(argc, argv,
                       {"seed", "max-traces", "threads", "checkpoint-dir",
                        "quick!", "resume!"},
@@ -180,4 +182,10 @@ int main(int argc, char** argv) {
                "(25k-58k), the best placement (P6), and the\nTDC-comparable "
                "magnitude instead of exact cells.\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return util::cli_main(argc, argv, run);
 }

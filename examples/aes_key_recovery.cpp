@@ -30,9 +30,7 @@ std::string hex(const crypto::Key& key) {
   return oss.str();
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   const util::Cli cli(argc, argv, {"traces", "seed", "threads"});
   const auto max_traces =
       static_cast<std::size_t>(cli.get_int("traces", 8000));
@@ -89,4 +87,10 @@ int main(int argc, char** argv) {
               << " traces (try more --traces)\n";
   }
   return result.broken ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return util::cli_main(argc, argv, run);
 }

@@ -42,9 +42,7 @@ std::string from_bits(const std::vector<bool>& bits) {
   return text;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   const util::Cli cli(argc, argv, {"message", "bit-ms", "seed"});
   const std::string message = cli.get_string(
       "message", "LeakyDSP: covert FPGA-to-FPGA channel at 247.94 b/s");
@@ -79,4 +77,10 @@ int main(int argc, char** argv) {
             << stats.ber() * 100.0 << "% (" << stats.bit_errors
             << " bit errors)\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return util::cli_main(argc, argv, run);
 }

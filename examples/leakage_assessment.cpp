@@ -17,7 +17,9 @@
 
 using namespace leakydsp;
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   const util::Cli cli(argc, argv, {"traces", "seed"});
   const auto traces = static_cast<std::size_t>(cli.get_int("traces", 1500));
   util::Rng rng(cli.get_seed("seed", 17));
@@ -79,4 +81,10 @@ int main(int argc, char** argv) {
                "cycles — the data-dependent Hamming-distance leakage CPA "
                "exploits.\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return util::cli_main(argc, argv, run);
 }

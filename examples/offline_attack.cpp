@@ -16,7 +16,9 @@
 
 using namespace leakydsp;
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   const util::Cli cli(argc, argv, {"in", "poi-begin", "poi-count"});
   const auto in = cli.get_string("in", "/tmp/leakydsp.ldtr");
 
@@ -92,4 +94,10 @@ int main(int argc, char** argv) {
   std::cout << "\nrecovered master key: " << key_hex.str() << "\n"
             << "(compare with the key example_record_traces printed)\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return util::cli_main(argc, argv, run);
 }

@@ -22,7 +22,9 @@
 
 using namespace leakydsp;
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   const util::Cli cli(argc, argv, {"traces", "out", "seed", "threads"});
   const auto traces = static_cast<std::size_t>(cli.get_int("traces", 6000));
   const auto out = cli.get_string("out", "/tmp/leakydsp.ldtr");
@@ -61,4 +63,10 @@ int main(int argc, char** argv) {
             << "victim's secret key (for checking the offline attack): "
             << key_hex.str() << "\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return util::cli_main(argc, argv, run);
 }

@@ -3,7 +3,6 @@
 
 #include "harness/harness.h"
 #include "util/cli.h"
-#include "util/contracts.h"
 
 namespace leakydsp::fuzz {
 
@@ -42,7 +41,7 @@ int fuzz_cli(const std::uint8_t* data, std::size_t size) {
     (void)cli.get_flag("quiet");
     (void)cli.has("threads");
     if (cli.has("threads")) (void)cli.get_threads();
-  } catch (const util::PreconditionError&) {
+  } catch (const util::CliError&) {
     // Unknown options, duplicates, missing values, malformed numbers.
   }
   return 0;

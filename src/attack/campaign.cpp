@@ -224,72 +224,56 @@ std::vector<sim::StoredTrace> TraceCampaign::record_block(
   return out;
 }
 
-void TraceCampaign::record_blocks(
-    util::ThreadPool& pool, const util::Rng& trace_parent,
-    std::span<const crypto::Block> plaintexts, std::size_t first_block,
-    std::vector<std::vector<sim::StoredTrace>>& shards) const {
+void TraceCampaign::record_waves(
+    util::Rng& rng, std::size_t n,
+    const std::function<void(sim::StoredTrace&)>& sink) const {
+  LD_REQUIRE(n >= 1, "need at least one trace");
+  util::ThreadPool pool(config_.threads);
+  RecordCursor cursor = start_record(rng);
+  // Blocks of block_traces traces, processed in bounded waves: only one
+  // wave of plaintexts and shards is ever resident, and each drains into
+  // the sink in block order. Waves hold whole blocks and every trace forks
+  // its own stream, so the output never depends on the thread count.
   const std::size_t block = config_.block_traces;
-  const std::size_t n = plaintexts.size();
-  pool.parallel_for(shards.size(), [&](std::size_t w) {
-    const std::size_t lo = (first_block + w) * block;
-    const std::size_t hi = std::min(lo + block, n);
-    shards[w] =
-        record_block(trace_parent, lo, {plaintexts.data() + lo, hi - lo});
-  });
+  const std::size_t wave = std::max<std::size_t>(pool.size(), 1) * 4 * block;
+  while (cursor.produced < n) {
+    const std::size_t first = cursor.produced;
+    const std::vector<crypto::Block> plaintexts =
+        next_plaintexts(cursor, std::min(wave, n - first));
+    std::vector<std::vector<sim::StoredTrace>> shards(
+        (plaintexts.size() + block - 1) / block);
+    pool.parallel_for(shards.size(), [&](std::size_t w) {
+      const std::size_t lo = w * block;
+      const std::size_t hi = std::min(lo + block, plaintexts.size());
+      shards[w] = record_block(cursor.trace_parent, first + lo,
+                               {plaintexts.data() + lo, hi - lo});
+    });
+    for (auto& shard : shards) {
+      for (auto& rec : shard) sink(rec);
+    }
+  }
 }
 
 void TraceCampaign::record(util::Rng& rng, std::size_t n,
                            sim::TraceStore& store) const {
-  LD_REQUIRE(n >= 1, "need at least one trace");
   LD_REQUIRE(store.samples_per_trace() == trace_samples_,
              "store expects " << store.samples_per_trace()
                               << " samples per trace, campaign produces "
                               << trace_samples_);
-  util::ThreadPool pool(config_.threads);
-
-  crypto::Block plaintext;
-  for (auto& b : plaintext) b = static_cast<std::uint8_t>(rng() & 0xff);
-  const util::Rng trace_parent = rng;
-  const std::vector<crypto::Block> plaintexts = plaintext_chain(plaintext, n);
-
-  const std::size_t block = config_.block_traces;
-  const std::size_t blocks = (n + block - 1) / block;
-  std::vector<std::vector<sim::StoredTrace>> shards(blocks);
-  record_blocks(pool, trace_parent, plaintexts, 0, shards);
-  for (auto& shard : shards) {
-    for (auto& rec : shard) store.add(rec.ciphertext, std::move(rec.samples));
-  }
+  record_waves(rng, n, [&](sim::StoredTrace& rec) {
+    store.add(rec.ciphertext, std::move(rec.samples));
+  });
 }
 
 void TraceCampaign::record(util::Rng& rng, std::size_t n,
                            sim::TraceStoreWriter& writer) const {
-  LD_REQUIRE(n >= 1, "need at least one trace");
   LD_REQUIRE(writer.samples_per_trace() == trace_samples_,
              "writer expects " << writer.samples_per_trace()
                                << " samples per trace, campaign produces "
                                << trace_samples_);
-  util::ThreadPool pool(config_.threads);
-
-  crypto::Block plaintext;
-  for (auto& b : plaintext) b = static_cast<std::uint8_t>(rng() & 0xff);
-  const util::Rng trace_parent = rng;
-  const std::vector<crypto::Block> plaintexts = plaintext_chain(plaintext, n);
-
-  // Same fork discipline and block schedule as the in-memory overload,
-  // processed in bounded waves: only one wave of shards is ever resident,
-  // and each drains into the writer in block order, so the resulting file
-  // is byte-identical to record()-then-save() at every thread count.
-  const std::size_t block = config_.block_traces;
-  const std::size_t blocks = (n + block - 1) / block;
-  const std::size_t wave = std::max<std::size_t>(pool.size(), 1) * 4;
-  for (std::size_t b0 = 0; b0 < blocks; b0 += wave) {
-    std::vector<std::vector<sim::StoredTrace>> shards(
-        std::min(wave, blocks - b0));
-    record_blocks(pool, trace_parent, plaintexts, b0, shards);
-    for (auto& shard : shards) {
-      for (auto& rec : shard) writer.add(rec.ciphertext, rec.samples);
-    }
-  }
+  record_waves(rng, n, [&](sim::StoredTrace& rec) {
+    writer.add(rec.ciphertext, rec.samples);
+  });
 }
 
 // ----------------------------------------------------------- checkpoints
@@ -299,7 +283,7 @@ namespace {
 constexpr char kCheckpointMagic[4] = {'L', 'D', 'C', 'K'};
 constexpr std::uint32_t kCheckpointVersion = 1;
 constexpr std::uint64_t kCheckpointOverhead = 20;  // magic+version+size+crc
-constexpr char kLegacyCheckpointFile[] = "campaign.ckpt";
+constexpr char kUnkeyedCheckpointFile[] = "campaign.ckpt";
 
 /// File-name-safe form of a campaign id: [A-Za-z0-9._-] passes through,
 /// everything else (separators included — ids must never name directories)
@@ -319,7 +303,7 @@ std::string sanitize_id(const std::string& id) {
 /// stay valid; non-empty ids get their own keyed file, which is what lets
 /// many campaigns share one checkpoint directory.
 std::string checkpoint_path(const std::string& dir, const std::string& id) {
-  if (id.empty()) return dir + "/" + kLegacyCheckpointFile;
+  if (id.empty()) return dir + "/" + kUnkeyedCheckpointFile;
   return dir + "/campaign-" + sanitize_id(id) + ".ckpt";
 }
 
@@ -356,10 +340,6 @@ std::size_t next_multiple(std::size_t t, std::size_t stride) {
 }
 
 }  // namespace
-
-bool TraceCampaign::checkpoint_exists(const std::string& dir) {
-  return checkpoint_exists(dir, "");
-}
 
 bool TraceCampaign::checkpoint_exists(const std::string& dir,
                                       const std::string& campaign_id) {
@@ -490,25 +470,8 @@ void TraceCampaign::write_checkpoint(const RunState& state) const {
 }
 
 TraceCampaign::RunState TraceCampaign::load_checkpoint() const {
-  std::string path =
+  const std::string path =
       checkpoint_path(config_.checkpoint_dir, config_.campaign_id);
-  if (!config_.campaign_id.empty()) {
-    // Compat shim: when this campaign's keyed checkpoint is absent, fall
-    // back to the legacy single-file name so checkpoints written before
-    // ids existed stay resumable under an id-carrying config.
-    std::error_code ec;
-    if (std::filesystem::status(path, ec).type() ==
-        std::filesystem::file_type::not_found) {
-      const std::string legacy = checkpoint_path(config_.checkpoint_dir, "");
-      std::error_code legacy_ec;
-      if (std::filesystem::is_regular_file(legacy, legacy_ec)) {
-        OBS_LOG(obs::LogLevel::kInfo, "campaign",
-                "loading legacy checkpoint name", obs::f("path", legacy),
-                obs::f("campaign", config_.campaign_id));
-        path = legacy;
-      }
-    }
-  }
   errno = 0;
   std::ifstream is(path, std::ios::binary);
   if (!is.is_open()) {
@@ -617,7 +580,7 @@ TraceCampaign::RunState TraceCampaign::load_checkpoint() const {
 
 /// One planned boundary step: the materialized plaintext slice plus one
 /// shard slot per trace block. run_block() fills slots independently;
-/// finish_step_impl folds them back in block order.
+/// finish_step folds them back in block order.
 struct TraceCampaign::StepPlan::Impl {
   std::size_t base_t = 0;       ///< state.t when the step was planned
   std::size_t next = 0;         ///< state.t after the step completes
@@ -675,9 +638,11 @@ TraceCampaign::Task TraceCampaign::load_task() const {
   return Task(std::move(state));
 }
 
-TraceCampaign::StepPlan TraceCampaign::make_plan(RunState& state,
+TraceCampaign::StepPlan TraceCampaign::plan_step(Task& task,
                                                  bool stop_when_broken) const {
+  LD_REQUIRE(task.state_ != nullptr, "plan_step on an empty task");
   LD_REQUIRE(config_.block_traces >= 1, "bad block size");
+  RunState& state = *task.state_;
   if (state.completed || state.stopped || state.t >= config_.max_traces) {
     return StepPlan();
   }
@@ -705,12 +670,6 @@ TraceCampaign::StepPlan TraceCampaign::make_plan(RunState& state,
   return StepPlan(std::move(impl));
 }
 
-TraceCampaign::StepPlan TraceCampaign::plan_step(Task& task,
-                                                 bool stop_when_broken) const {
-  LD_REQUIRE(task.state_ != nullptr, "plan_step on an empty task");
-  return make_plan(*task.state_, stop_when_broken);
-}
-
 void TraceCampaign::run_block(StepPlan& plan, std::size_t block) const {
   LD_REQUIRE(plan.impl_ != nullptr, "run_block on an empty plan");
   StepPlan::Impl& impl = *plan.impl_;
@@ -726,19 +685,23 @@ void TraceCampaign::run_block(StepPlan& plan, std::size_t block) const {
   impl.shards[block] = std::move(shard);
 }
 
-bool TraceCampaign::finish_step_impl(RunState& state,
-                                     StepPlan::Impl& plan) const {
-  LD_REQUIRE(plan.base_t == state.t,
+bool TraceCampaign::finish_step(Task& task, StepPlan&& plan) const {
+  LD_REQUIRE(task.state_ != nullptr, "finish_step on an empty task");
+  LD_REQUIRE(plan.impl_ != nullptr, "finish_step on an empty plan");
+  const StepPlan consumed = std::move(plan);
+  const StepPlan::Impl& step = *consumed.impl_;
+  RunState& state = *task.state_;
+  LD_REQUIRE(step.base_t == state.t,
              "finish_step out of order: plan at trace "
-                 << plan.base_t << ", task at " << state.t);
+                 << step.base_t << ", task at " << state.t);
   // Merge in block order: the reduction tree is fixed by the block size,
   // not by the schedule, so any thread count gives identical sums.
-  for (const auto& shard : plan.shards) {
+  for (const auto& shard : step.shards) {
     LD_REQUIRE(shard != nullptr, "finish_step before every block ran");
     state.cpa.merge(shard->cpa);
     state.poi_sum += shard->poi_sum;
   }
-  state.t = plan.next;
+  state.t = step.next;
   state.result.traces_run = state.t;
 
   const crypto::Key true_key = aes_->cipher().round_keys()[0];
@@ -776,38 +739,10 @@ bool TraceCampaign::finish_step_impl(RunState& state,
     }
     cp.full_key = state.cpa.recovered_master_key() == true_key;
     state.result.checkpoints.push_back(cp);
-    stop = plan.stop_when_broken && state.result.broken;
+    stop = step.stop_when_broken && state.result.broken;
   }
   if (stop) state.stopped = true;
   return !stop && state.t < config_.max_traces;
-}
-
-bool TraceCampaign::finish_step(Task& task, StepPlan&& plan) const {
-  LD_REQUIRE(task.state_ != nullptr, "finish_step on an empty task");
-  LD_REQUIRE(plan.impl_ != nullptr, "finish_step on an empty plan");
-  StepPlan consumed = std::move(plan);
-  return finish_step_impl(*task.state_, *consumed.impl_);
-}
-
-void TraceCampaign::finalize_state(RunState& state) const {
-  state.result.mean_poi_readout =
-      state.poi_sum / (static_cast<double>(state.result.traces_run) *
-                       static_cast<double>(poi_count_));
-  state.completed = true;
-  attach_final_scores(state);
-}
-
-void TraceCampaign::attach_final_scores(RunState& state) const {
-  if (!config_.keep_final_scores || !state.result.final_scores.empty()) {
-    return;
-  }
-  const auto scores = state.cpa.snapshot();
-  state.result.final_scores.reserve(scores.size() * 256);
-  for (const auto& byte_scores : scores) {
-    state.result.final_scores.insert(state.result.final_scores.end(),
-                                     byte_scores.score.begin(),
-                                     byte_scores.score.end());
-  }
 }
 
 void TraceCampaign::suspend(const Task& task) const {
@@ -822,12 +757,25 @@ CampaignResult TraceCampaign::take_result(Task&& task) const {
   Task consumed = std::move(task);
   RunState& state = *consumed.state_;
   if (!state.completed) {
-    finalize_state(state);
+    state.result.mean_poi_readout =
+        state.poi_sum / (static_cast<double>(state.result.traces_run) *
+                         static_cast<double>(poi_count_));
+    state.completed = true;
     if (!config_.checkpoint_dir.empty()) write_checkpoint(state);
   }
-  // A state rehydrated from an already-completed checkpoint skipped
-  // finalize_state, and the serialized result never carries the scores.
-  attach_final_scores(state);
+  // The serialized result never carries the final scores, so every path —
+  // a state rehydrated from an already-completed checkpoint included —
+  // recomputes them from the bit-identically restored accumulator, and
+  // run, resume and service outcomes agree byte for byte.
+  if (config_.keep_final_scores) {
+    const auto scores = state.cpa.snapshot();
+    state.result.final_scores.reserve(scores.size() * 256);
+    for (const auto& byte_scores : scores) {
+      state.result.final_scores.insert(state.result.final_scores.end(),
+                                       byte_scores.score.begin(),
+                                       byte_scores.score.end());
+    }
+  }
   return std::move(state.result);
 }
 
@@ -852,61 +800,46 @@ std::size_t TraceCampaign::approx_task_bytes() const {
 // --------------------------------------------------------------- running
 
 CampaignResult TraceCampaign::run(util::Rng& rng, bool stop_when_broken) {
-  RunState state(poi_count_);
-  for (auto& b : state.plaintext) b = static_cast<std::uint8_t>(rng() & 0xff);
-  // Every trace t forks its own noise stream from this snapshot, so the
-  // readouts depend only on the seed and t — never on which worker ran it.
-  state.trace_parent = rng;
-  return run_loop(state, stop_when_broken);
+  return drive(start(rng), stop_when_broken);
 }
 
 CampaignResult TraceCampaign::resume(bool stop_when_broken) {
   LD_REQUIRE(!config_.checkpoint_dir.empty(),
              "resume() requires config.checkpoint_dir");
-  RunState state = load_checkpoint();
-  OBS_LOG(obs::LogLevel::kInfo, "campaign", "resumed from checkpoint",
-          obs::f("dir", config_.checkpoint_dir), obs::f("traces", state.t),
-          obs::f("completed", state.completed));
-  if (state.completed) {
-    attach_final_scores(state);
-    return state.result;
-  }
-  return run_loop(state, stop_when_broken);
+  return drive(load_task(), stop_when_broken);
 }
 
-CampaignResult TraceCampaign::run_loop(RunState& state,
-                                       bool stop_when_broken) {
+CampaignResult TraceCampaign::drive(Task task, bool stop_when_broken) {
   const bool checkpointing = !config_.checkpoint_dir.empty();
   util::ThreadPool pool(config_.threads);
   OBS_LOG(obs::LogLevel::kInfo, "campaign", "run loop started",
-          obs::f("from_trace", state.t),
+          obs::f("from_trace", task.traces_done()),
           obs::f("max_traces", config_.max_traces),
           obs::f("block_traces", config_.block_traces),
           obs::f("threads", pool.size()),
           obs::f("checkpointing", checkpointing));
 
   for (;;) {
-    StepPlan plan = make_plan(state, stop_when_broken);
+    StepPlan plan = plan_step(task, stop_when_broken);
     if (plan.empty()) break;
     pool.parallel_for(plan.block_count(),
                       [&](std::size_t blk) { run_block(plan, blk); });
-    const bool more = finish_step_impl(state, *plan.impl_);
+    const bool more = finish_step(task, std::move(plan));
     // Durable progress: everything needed to continue from this boundary,
     // replacing the previous checkpoint atomically. A kill at ANY moment
     // loses at most the traces since the last boundary, and the resumed
     // run re-derives them bit-identically from the forked RNG streams.
-    if (checkpointing) write_checkpoint(state);
+    if (checkpointing) suspend(task);
     OBS_PROGRESS_TICK();
     if (!more) break;
   }
 
-  finalize_state(state);
-  if (checkpointing) write_checkpoint(state);
+  CampaignResult result = take_result(std::move(task));
   OBS_LOG(obs::LogLevel::kInfo, "campaign", "run loop finished",
-          obs::f("traces_run", state.result.traces_run),
-          obs::f("broken", state.result.broken),
-          obs::f("traces_to_break", state.result.traces_to_break));
-  return state.result;
+          obs::f("traces_run", result.traces_run),
+          obs::f("broken", result.broken),
+          obs::f("traces_to_break", result.traces_to_break));
+  return result;
 }
 
 }  // namespace leakydsp::attack

@@ -20,9 +20,6 @@ CpaAttack::CpaAttack(std::size_t poi_count, CpaKernel kernel)
 
 void CpaAttack::add_trace(const crypto::Block& ciphertext,
                           std::span<const double> poi_samples) {
-  // A batch of one accumulates identically under either kernel (the class
-  // kernel's per-class sums reduce to the row itself), so this is exactly
-  // the historical per-trace accumulation.
   add_traces({&ciphertext, 1}, poi_samples);
 }
 
@@ -42,63 +39,12 @@ void CpaAttack::add_traces(std::span<const crypto::Block> ciphertexts,
   kernels::trace_sums(poi_matrix.data(), n, poi_, sum_t_.data(),
                       sum_t2_.data());
   switch (kernel_) {
-    case CpaKernel::kClassAccum:
-      add_traces_class(ciphertexts, poi_matrix);
-      break;
     case CpaKernel::kGemm:
       add_traces_gemm(ciphertexts, poi_matrix);
       break;
     case CpaKernel::kSimd:
       add_traces_simd(ciphertexts, poi_matrix);
       break;
-  }
-}
-
-void CpaAttack::add_traces_class(std::span<const crypto::Block> ciphertexts,
-                                 std::span<const double> poi_matrix) {
-  const std::size_t n = ciphertexts.size();
-  row_scratch_.resize(n);
-  class_scratch_.resize(9 * poi_);
-  for (int b = 0; b < 16; ++b) {
-    // One shared-table row per trace covers all 256 guesses of this byte.
-    const int sr = crypto::Aes128::shift_rows_map(b);
-    for (std::size_t t = 0; t < n; ++t) {
-      row_scratch_[t] = last_round_hd_pair_row(
-          ciphertexts[t][b], ciphertexts[t][static_cast<std::size_t>(sr)]);
-    }
-    auto& h_sums = sum_h_[static_cast<std::size_t>(b)];
-    auto& h2_sums = sum_h2_[static_cast<std::size_t>(b)];
-    auto& ht = sum_ht_[static_cast<std::size_t>(b)];
-    for (std::size_t g = 0; g < 256; ++g) {
-      // Bucket pass: pure adds into the 9 Hamming-class sums (resident in
-      // L1), lazily zeroed on first touch.
-      std::array<std::uint32_t, 9> cnt{};
-      for (std::size_t t = 0; t < n; ++t) {
-        const std::size_t h = row_scratch_[t][g];
-        double* cs = class_scratch_.data() + h * poi_;
-        const double* src = poi_matrix.data() + t * poi_;
-        if (cnt[h]++ == 0) {
-          for (std::size_t k = 0; k < poi_; ++k) cs[k] = src[k];
-        } else {
-          for (std::size_t k = 0; k < poi_; ++k) cs[k] += src[k];
-        }
-      }
-      // Fold: one multiply per occupied class; hypothesis sums stay exact
-      // integers (h <= 8, so no overflow for any feasible trace count).
-      double* dst = ht.data() + g * poi_;
-      std::uint64_t hs = 0;
-      std::uint64_t h2s = 0;
-      for (std::size_t h = 1; h < 9; ++h) {
-        if (cnt[h] == 0) continue;
-        hs += h * cnt[h];
-        h2s += h * h * cnt[h];
-        const double hd = static_cast<double>(h);
-        const double* cs = class_scratch_.data() + h * poi_;
-        for (std::size_t k = 0; k < poi_; ++k) dst[k] += hd * cs[k];
-      }
-      h_sums[g] += static_cast<double>(hs);
-      h2_sums[g] += static_cast<double>(h2s);
-    }
   }
 }
 
@@ -201,14 +147,12 @@ void CpaAttack::merge(const CpaAttack& other) {
 std::size_t CpaAttack::approx_accumulator_bytes(std::size_t poi_count) {
   return sizeof(CpaAttack)                            // inline sum_h / sum_h2
          + 2 * poi_count * sizeof(double)             // sum_t, sum_t2
-         + 16 * 256 * poi_count * sizeof(double)      // sum_ht cross sums
-         + 9 * poi_count * sizeof(double);            // class scratch
+         + 16 * 256 * poi_count * sizeof(double);     // sum_ht cross sums
 }
 
 std::size_t CpaAttack::resident_bytes() const {
   std::size_t bytes = sizeof(CpaAttack) +
-                      (sum_t_.capacity() + sum_t2_.capacity() +
-                       class_scratch_.capacity()) *
+                      (sum_t_.capacity() + sum_t2_.capacity()) *
                           sizeof(double) +
                       row_scratch_.capacity() * sizeof(const std::uint8_t*);
   for (const auto& per_byte : sum_ht_) {

@@ -30,22 +30,15 @@ struct ByteScores {
 
 /// Batch-accumulation kernel of CpaAttack::add_traces.
 enum class CpaKernel {
-  /// Integer class kernel: hypothesis rows come from the shared
-  /// 256x256x256 pair table, each trace's POI row is bucketed into its
-  /// Hamming class (h in 0..8) and the 9 class sums fold into the
-  /// accumulators with one multiply per class — hypothesis sums stay exact
-  /// integers. Reorders the per-guess additions relative to trace order
-  /// (same values up to fp associativity; identical for n=1).
-  kClassAccum,
-  /// GEMM-style kernel: per-(guess, POI) additions happen in trace order,
-  /// bit-identical to calling add_trace per trace.
+  /// GEMM-style reference kernel: per-(guess, POI) additions happen in
+  /// trace order, bit-identical to calling add_trace per trace.
   kGemm,
   /// Runtime-dispatched SIMD kernel (cpa_kernels.h): register-blocked
   /// fma chains per (guess, POI) in global trace order, streamed in
   /// L1-sized trace blocks across all 16 key bytes, with exact-integer
   /// hypothesis sums. Every dispatch tier (scalar / AVX2 / AVX-512) and
   /// every batch split produces bit-identical accumulators; values differ
-  /// from kGemm/kClassAccum only by the fused rounding of each
+  /// from kGemm only by the fused rounding of each
   /// multiply-add step. Default.
   kSimd,
 };
@@ -62,17 +55,17 @@ class CpaAttack {
 
   /// Accumulates one trace: its ciphertext and the sensor readouts at the
   /// POI window (size must equal poi_count()). Routed through add_traces
-  /// with a batch of one: kClassAccum and kGemm accumulate that identically
-  /// (the historical per-trace accumulation); kSimd accumulates its fused
-  /// form, which is itself identical to kSimd at any batch size.
+  /// with a batch of one: kGemm accumulates that as the historical
+  /// per-trace accumulation; kSimd accumulates its fused form, which is
+  /// itself identical to kSimd at any batch size.
   void add_trace(const crypto::Block& ciphertext,
                  std::span<const double> poi_samples);
 
   /// Accumulates a batch of traces at once: `poi_matrix` holds the POI rows
   /// of `ciphertexts.size()` traces back to back (row t at offset
   /// t * poi_count()), dispatched to the configured CpaKernel. Deterministic
-  /// for a given kernel and batch split; the kernels differ from each other
-  /// only in fp summation order.
+  /// for a given kernel and batch split; the two kernels differ only in
+  /// the fused rounding of kSimd's multiply-adds.
   void add_traces(std::span<const crypto::Block> ciphertexts,
                   std::span<const double> poi_matrix);
 
@@ -104,8 +97,8 @@ class CpaAttack {
   static CpaAttack deserialize(util::ByteReader& in);
 
   /// Approximate heap footprint of one accumulator with `poi_count` points
-  /// of interest: the trace-side sums, the flattened per-(byte, guess)
-  /// cross sums, and the kernel scratch. Coarse by design — the campaign
+  /// of interest: the trace-side sums and the flattened per-(byte, guess)
+  /// cross sums. Coarse by design — the campaign
   /// service charges this against its memory budget per resident task.
   static std::size_t approx_accumulator_bytes(std::size_t poi_count);
 
@@ -113,8 +106,6 @@ class CpaAttack {
   std::size_t resident_bytes() const;
 
  private:
-  void add_traces_class(std::span<const crypto::Block> ciphertexts,
-                        std::span<const double> poi_matrix);
   void add_traces_gemm(std::span<const crypto::Block> ciphertexts,
                        std::span<const double> poi_matrix);
   void add_traces_simd(std::span<const crypto::Block> ciphertexts,
@@ -122,12 +113,11 @@ class CpaAttack {
 
   std::size_t poi_;
   std::size_t traces_ = 0;
-  CpaKernel kernel_ = CpaKernel::kClassAccum;  // not serialized
+  CpaKernel kernel_ = CpaKernel::kSimd;  // not serialized
 
   // Kernel scratch, reused across batches (not part of the accumulator
   // state; never serialized or merged).
   std::vector<const std::uint8_t*> row_scratch_;  // per-trace pair rows
-  util::aligned_vector<double> class_scratch_;    // [9 * poi] class sums
 
   // Trace-side sums (shared across guesses). 64-byte aligned so the SIMD
   // trace_sums kernel never splits a vector across cache lines.

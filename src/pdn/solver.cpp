@@ -4,6 +4,7 @@
 #include <array>
 #include <cmath>
 #include <mutex>
+#include <string>
 #include <utility>
 
 #include "obs/metrics.h"
@@ -72,8 +73,6 @@ std::string to_string(SolverKind kind) {
       return "reference_cg";
     case SolverKind::kPcgIc0:
       return "pcg_ic0";
-    case SolverKind::kPcgSsor:
-      return "pcg_ssor";
     case SolverKind::kTwoGrid:
       return "twogrid";
   }
@@ -167,7 +166,7 @@ void SolverContext::clear_cache() {
 
 SolverContext::SolverContext(const SparseMatrix& a, int nx, int ny,
                              SolverKind kind)
-    : requested_(kind), resolved_(kind), nx_(nx), ny_(ny), n_(a.size()) {
+    : resolved_(kind), nx_(nx), ny_(ny), n_(a.size()) {
   LD_REQUIRE(a.frozen(), "freeze() before building a SolverContext");
   LD_REQUIRE(kind != SolverKind::kAuto, "resolve() the kind first");
   LD_REQUIRE(nx > 0 && ny > 0 &&
@@ -189,7 +188,6 @@ SolverContext::SolverContext(const SparseMatrix& a, int nx, int ny,
 
   switch (kind) {
     case SolverKind::kReferenceCg:
-    case SolverKind::kPcgSsor:
       break;  // setup-free
     case SolverKind::kPcgIc0:
       build_ic0(a);
@@ -202,8 +200,8 @@ SolverContext::SolverContext(const SparseMatrix& a, int nx, int ny,
   }
 
 #if defined(LEAKYDSP_OBS)
-  // Registered after the build: IC(0) setup may have fallen back to SSOR,
-  // and the per-kind series must be named after what actually runs.
+  // Registered after the build, so a context whose setup threw never
+  // shows up in the per-kind series.
   obs::Registry& reg = obs::Registry::global();
   reg.add(reg.labeled_counter("pdn.solver.resolved_kind", to_string(resolved_),
                               /*max_labels=*/8),
@@ -228,13 +226,6 @@ void SolverContext::build_ic0(const SparseMatrix& a) {
   // Row-wise IC(0) on the lower-triangle sparsity of A. Rows are short
   // (<= 5 nonzeros for the 5-point stencil), so the L(i,:)·L(j,:) partial
   // dot is a two-pointer merge over a handful of entries.
-  auto breakdown = [&] {
-    l_row_start_.clear();
-    l_cols_.clear();
-    l_vals_.clear();
-    resolved_ = SolverKind::kPcgSsor;
-    OBS_COUNT("pdn.solver.ic0.breakdowns", 1);
-  };
 
   for (std::size_t i = 0; i < n_; ++i) {
     const std::size_t i_begin = l_row_start_[i];
@@ -266,17 +257,18 @@ void SolverContext::build_ic0(const SparseMatrix& a) {
           sum -= l_vals_[t] * l_vals_[t];
         }
         if (!(sum > 0.0)) {
-          breakdown();
-          return;
+          throw SolverError("IC(0) pivot " + std::to_string(sum) +
+                            " at row " + std::to_string(i) +
+                            " is not positive — matrix is not an M-matrix");
         }
         l_cols_.push_back(i);
         l_vals_.push_back(std::sqrt(sum));
       }
     }
     if (l_cols_.size() == i_begin || l_cols_.back() != i) {
-      // Structurally missing diagonal — not factorable with zero fill.
-      breakdown();
-      return;
+      throw SolverError("IC(0) row " + std::to_string(i) +
+                        " has no diagonal entry — not factorable with zero "
+                        "fill");
     }
     l_row_start_[i + 1] = l_cols_.size();
   }
@@ -303,36 +295,6 @@ void SolverContext::apply_ic0(std::span<const double> r,
     for (std::size_t k = l_row_start_[i]; k < dk; ++k) {
       z[l_cols_[k]] -= l_vals_[k] * zi;
     }
-  }
-}
-
-void SolverContext::apply_ssor(const SparseMatrix& a,
-                               std::span<const double> r,
-                               std::span<double> z) const {
-  // M = (D + L) D^{-1} (D + L^T) with omega = 1 (symmetric Gauss–Seidel).
-  const auto rs = a.row_start();
-  const auto acols = a.cols();
-  const auto avals = a.values();
-  // Forward: (D + L) y = r, y stored in z.
-  for (std::size_t i = 0; i < n_; ++i) {
-    double s = r[i];
-    for (std::size_t k = rs[i]; k < rs[i + 1]; ++k) {
-      const std::size_t j = acols[k];
-      if (j >= i) break;
-      s -= avals[k] * z[j];
-    }
-    z[i] = s * inv_diag_[i];
-  }
-  // Backward: (I + D^{-1} L^T) z = y, in place — descending order means
-  // every z[j] read (j > i) is already final while z[i] still holds y[i].
-  for (std::size_t i = n_; i-- > 0;) {
-    double s = 0.0;
-    for (std::size_t k = rs[i + 1]; k-- > rs[i];) {
-      const std::size_t j = acols[k];
-      if (j <= i) break;
-      s += avals[k] * z[j];
-    }
-    z[i] -= s * inv_diag_[i];
   }
 }
 
@@ -554,9 +516,6 @@ CgResult SolverContext::solve(const SparseMatrix& a, std::span<const double> b,
     switch (resolved_) {
       case SolverKind::kPcgIc0:
         apply_ic0(rr, zz);
-        break;
-      case SolverKind::kPcgSsor:
-        apply_ssor(a, rr, zz);
         break;
       case SolverKind::kTwoGrid: {
         OBS_SPAN("pdn.solver.vcycle");

@@ -5,15 +5,14 @@
 // expensive part — preconditioner setup — is hoisted into a SolverContext
 // that is built once per grid topology and shared through a process-wide
 // cache keyed on that topology. The solve itself is preconditioned
-// conjugate gradient with three interchangeable preconditioners:
+// conjugate gradient with two interchangeable preconditioners:
 //
-//   IC(0)    — incomplete Cholesky with zero fill-in; exists without
-//              breakdown for the diagonally dominant mesh Laplacian and is
-//              the default below the two-grid threshold. If a pivot does
-//              break down (a non-M-matrix assembled through the same API),
-//              setup falls back to SSOR automatically.
-//   SSOR     — symmetric Gauss–Seidel (omega = 1); setup-free, used as the
-//              IC(0) breakdown fallback and benchable on its own.
+//   IC(0)    — incomplete Cholesky with zero fill-in; the default below the
+//              two-grid threshold. It exists without breakdown for every
+//              M-matrix (Meijerink & van der Vorst, Math. Comp. 1977), which
+//              the diagonally dominant mesh Laplacian is. A non-positive
+//              pivot can only come from a non-M-matrix passed to
+//              SolverContext directly, and throws SolverError.
 //   Two-grid — geometric coarse-grid correction exploiting node_index's
 //              row-major nx x ny structure: one forward Gauss–Seidel
 //              pre-smooth, a Galerkin-coarsened (P^T A P, bilinear P,
@@ -39,15 +38,24 @@
 #include <vector>
 
 #include "pdn/sparse.h"
+#include "util/contracts.h"
 
 namespace leakydsp::pdn {
+
+/// Thrown when a preconditioner cannot be built for the given matrix: an
+/// IC(0) pivot that is non-positive or structurally missing. Derives from
+/// util::PreconditionError so generic catch sites keep working while
+/// callers (and tests) can assert the precise type.
+class SolverError : public util::PreconditionError {
+ public:
+  using util::PreconditionError::PreconditionError;
+};
 
 /// Solver selection for a PdnGrid (PdnParams::solver).
 enum class SolverKind : std::uint8_t {
   kAuto = 0,     ///< IC(0) PCG below the two-grid threshold, two-grid above
   kReferenceCg,  ///< plain Jacobi-CG — the differential reference path
   kPcgIc0,       ///< PCG with incomplete-Cholesky IC(0)
-  kPcgSsor,      ///< PCG with symmetric Gauss–Seidel (SSOR, omega = 1)
   kTwoGrid,      ///< PCG with the geometric two-grid V-cycle preconditioner
 };
 
@@ -99,10 +107,7 @@ class SolverContext {
   static std::shared_ptr<const SolverContext> obtain(const TopologyKey& key,
                                                      const SparseMatrix& a);
 
-  /// The kind this context was asked to build.
-  SolverKind requested_kind() const { return requested_; }
-  /// The kind actually in effect (differs from requested only when IC(0)
-  /// setup broke down and fell back to SSOR).
+  /// The kind this context runs.
   SolverKind resolved_kind() const { return resolved_; }
 
   /// Solves A x = b to `tolerance` (relative residual). With
@@ -136,12 +141,9 @@ class SolverContext {
   void build_two_grid(const SparseMatrix& a);
 
   void apply_ic0(std::span<const double> r, std::span<double> z) const;
-  void apply_ssor(const SparseMatrix& a, std::span<const double> r,
-                  std::span<double> z) const;
   void apply_two_grid(const SparseMatrix& a, std::span<const double> r,
                       std::span<double> z, Workspace& ws) const;
 
-  SolverKind requested_;
   SolverKind resolved_;
   /// Per-resolved-kind iteration histogram (obs::Registry::MetricId),
   /// registered at construction so every solve() pays only the shard add.
@@ -151,7 +153,7 @@ class SolverContext {
   int ny_ = 0;
   std::size_t n_ = 0;
 
-  // Cached inverse diagonal (Jacobi pieces of SSOR / smoothing).
+  // Cached inverse diagonal (two-grid Gauss–Seidel smoothing).
   std::vector<double> inv_diag_;
 
   // IC(0) factor L (lower triangle incl. diagonal, CSR, cols ascending).

@@ -37,118 +37,58 @@ void Engine::add_rig(SensorRig& rig) {
   rigs_.push_back(&rig);
 }
 
-/// Mid-run state of a chunked engine run: the continuing RNG streams, the
-/// accumulating per-rig readouts, and the (lazily created) pool that steps
-/// rigs in parallel per chunk.
-struct Engine::Run::Impl {
-  std::size_t samples_total = 0;
-  std::size_t samples_done = 0;
-  util::Rng source_rng;                   ///< steps sequentially, chunk by chunk
-  std::vector<util::Rng> rig_rngs;        ///< rig r's stream, forked once
-  std::vector<SensorTraceResult> results;
-  std::unique_ptr<util::ThreadPool> pool;
-};
-
-Engine::Run::Run(std::unique_ptr<Impl> impl) : impl_(std::move(impl)) {}
-Engine::Run::Run(Run&&) noexcept = default;
-Engine::Run& Engine::Run::operator=(Run&&) noexcept = default;
-Engine::Run::~Run() = default;
-
-std::size_t Engine::Run::samples_total() const {
-  return impl_ ? impl_->samples_total : 0;
-}
-
-std::size_t Engine::Run::samples_done() const {
-  return impl_ ? impl_->samples_done : 0;
-}
-
-Engine::Run Engine::start_run(std::size_t samples, util::Rng& rng) {
+std::vector<SensorTraceResult> Engine::run(std::size_t samples,
+                                           util::Rng& rng) {
   LD_REQUIRE(!rigs_.empty(), "engine has no sensor rigs");
   OBS_LOG(obs::LogLevel::kInfo, "engine", "run started",
           obs::f("samples", samples), obs::f("rigs", rigs_.size()),
           obs::f("sources", sources_.size()));
-  auto impl = std::make_unique<Run::Impl>();
-  impl->samples_total = samples;
-  impl->source_rng = rng.fork(0);
-  impl->rig_rngs.reserve(rigs_.size());
-  impl->results.reserve(rigs_.size());
+  util::Rng source_rng = rng.fork(0);
+  std::vector<util::Rng> rig_rngs;
+  std::vector<SensorTraceResult> results(rigs_.size());
+  rig_rngs.reserve(rigs_.size());
   for (std::size_t r = 0; r < rigs_.size(); ++r) {
     rigs_[r]->settle();
-    impl->rig_rngs.push_back(rng.fork(r + 1));
-    SensorTraceResult result;
-    result.sensor_name = rigs_[r]->sensor().name();
-    result.readouts.reserve(samples);
-    impl->results.push_back(std::move(result));
+    rig_rngs.push_back(rng.fork(r + 1));
+    results[r].sensor_name = rigs_[r]->sensor().name();
+    results[r].readouts.reserve(samples);
   }
-  return Run(std::move(impl));
-}
 
-std::size_t Engine::step_run(Run& run, std::size_t max_samples) {
-  LD_REQUIRE(run.impl_ != nullptr, "step_run on an empty run");
-  LD_REQUIRE(max_samples >= 1, "step_run needs room for one sample");
-  Run::Impl& impl = *run.impl_;
-  if (impl.samples_done >= impl.samples_total) return 0;
-  const std::size_t base = impl.samples_done;
-  const std::size_t count =
-      std::min(max_samples, impl.samples_total - base);
-
-  // Stage 1 (serial): materialize this window of every tenant's draw
-  // schedule. Sources may carry state across samples, so they step once,
-  // in sample order, from their own forked stream — the stream simply
-  // continues across chunks. Flattened layout: sample s owns injections
-  // [offsets[s], offsets[s + 1]).
+  // Stage 1 (serial): materialize every tenant's draw schedule. Sources
+  // may carry state across samples, so they step once, in sample order,
+  // from their own forked stream. Flattened layout: sample s owns
+  // injections [offsets[s], offsets[s + 1]).
   std::vector<pdn::CurrentInjection> draws;
-  std::vector<std::size_t> offsets(count + 1, 0);
+  std::vector<std::size_t> offsets(samples + 1, 0);
   {
     OBS_SPAN("engine.schedule");
-    for (std::size_t s = 0; s < count; ++s) {
+    for (std::size_t s = 0; s < samples; ++s) {
       // All rigs share the sample clock of the first rig (the paper's
       // setup: one attacker tenant, one sample domain).
-      const double t_ns = static_cast<double>(base + s) *
-                          rigs_.front()->params().sample_period_ns;
-      for (auto& src : sources_) src->draws_at(t_ns, impl.source_rng, draws);
+      const double t_ns =
+          static_cast<double>(s) * rigs_.front()->params().sample_period_ns;
+      for (auto& src : sources_) src->draws_at(t_ns, source_rng, draws);
       offsets[s + 1] = draws.size();
     }
   }
 
-  // Stage 2 (parallel): every rig consumes the shared window with its own
+  // Stage 2 (parallel): every rig consumes the shared schedule with its own
   // dynamics and noise stream. Rigs are distinct objects, so stepping them
   // concurrently shares only the read-only draw schedule.
-  if (!impl.pool) {
-    impl.pool = std::make_unique<util::ThreadPool>(std::min(
-        threads_ == 0 ? util::ThreadPool::hardware_threads() : threads_,
-        rigs_.size()));
-  }
-  impl.pool->parallel_for(rigs_.size(), [&](std::size_t r) {
+  util::ThreadPool pool(std::min(
+      threads_ == 0 ? util::ThreadPool::hardware_threads() : threads_,
+      rigs_.size()));
+  pool.parallel_for(rigs_.size(), [&](std::size_t r) {
     OBS_SPAN("engine.rig");
-    util::Rng& rig_rng = impl.rig_rngs[r];
-    for (std::size_t s = 0; s < count; ++s) {
+    for (std::size_t s = 0; s < samples; ++s) {
       const std::span<const pdn::CurrentInjection> sample_draws{
           draws.data() + offsets[s], offsets[s + 1] - offsets[s]};
-      impl.results[r].readouts.push_back(
-          rigs_[r]->sample(sample_draws, rig_rng));
+      results[r].readouts.push_back(
+          rigs_[r]->sample(sample_draws, rig_rngs[r]));
     }
   });
-  impl.samples_done += count;
-  OBS_COUNT("engine.samples", count * rigs_.size());
-  return count;
-}
-
-std::vector<SensorTraceResult> Engine::finish_run(Run&& run) {
-  LD_REQUIRE(run.impl_ != nullptr, "finish_run on an empty run");
-  Run consumed = std::move(run);
-  LD_REQUIRE(consumed.done(), "finish_run before the run completed: "
-                                  << consumed.samples_done() << " of "
-                                  << consumed.samples_total() << " samples");
-  return std::move(consumed.impl_->results);
-}
-
-std::vector<SensorTraceResult> Engine::run(std::size_t samples,
-                                           util::Rng& rng) {
-  Run active = start_run(samples, rng);
-  while (step_run(active, samples == 0 ? 1 : samples) > 0) {
-  }
-  return finish_run(std::move(active));
+  OBS_COUNT("engine.samples", samples * rigs_.size());
+  return results;
 }
 
 }  // namespace leakydsp::sim

@@ -60,11 +60,9 @@ class Engine {
 
   /// Registers a tenant; the engine does not own non-unique_ptr rigs.
   void add_source(std::unique_ptr<CurrentSource> source);
-  std::size_t source_count() const { return sources_.size(); }
 
   /// Attaches a sensor rig (borrowed; must outlive the engine).
   void add_rig(SensorRig& rig);
-  std::size_t rig_count() const { return rigs_.size(); }
 
   /// Worker threads used to step rigs in run() (0 = hardware concurrency).
   /// Results are identical for every value: each rig samples from its own
@@ -77,46 +75,7 @@ class Engine {
   /// tenants' draw schedule is materialized serially (sources may be
   /// stateful), then the attached rigs consume it in parallel — rig r draws
   /// its sampling noise from rng.fork(r + 1), the sources from rng.fork(0).
-  /// Implemented as start_run + step_run-to-completion + finish_run.
   std::vector<SensorTraceResult> run(std::size_t samples, util::Rng& rng);
-
-  /// In-flight resumable run (move-only): the engine materializes and
-  /// consumes the tenant schedule in bounded sample windows instead of all
-  /// at once, so a long run can interleave with other work while the draw
-  /// schedule stays O(chunk) instead of O(samples). Readouts are
-  /// bit-identical to run() for every chunking: the source stream steps
-  /// sequentially across chunks from rng.fork(0), and rig r's noise stream
-  /// forks once per run from rng.fork(r + 1) — exactly run()'s discipline.
-  class Run {
-   public:
-    Run(Run&&) noexcept;
-    Run& operator=(Run&&) noexcept;
-    ~Run();
-
-    std::size_t samples_total() const;
-    std::size_t samples_done() const;
-    bool done() const { return samples_done() >= samples_total(); }
-
-   private:
-    friend class Engine;
-    struct Impl;
-    explicit Run(std::unique_ptr<Impl> impl);
-    std::unique_ptr<Impl> impl_;
-  };
-
-  /// Begins a resumable run of `samples` steps: settles every rig and
-  /// snapshots the RNG streams. The engine (grid, sources, rigs) must stay
-  /// alive and unmodified until finish_run.
-  Run start_run(std::size_t samples, util::Rng& rng);
-
-  /// Advances the run by up to `max_samples` sensor-clock steps (at least
-  /// one unless the run is done). Returns the number of steps advanced; 0
-  /// means the run already completed.
-  std::size_t step_run(Run& run, std::size_t max_samples);
-
-  /// Finalizes the run and yields the per-rig readout streams. The run
-  /// must be done().
-  std::vector<SensorTraceResult> finish_run(Run&& run);
 
  private:
   const pdn::PdnGrid& grid_;

@@ -1,9 +1,22 @@
 #include "util/cli.h"
 
+#include <exception>
+#include <iostream>
 #include <set>
+#include <sstream>
 
-#include "util/contracts.h"
 #include "util/thread_pool.h"
+
+/// Usage-error check: throws CliError carrying just the message, which
+/// names the offending option.
+#define LD_CLI_REQUIRE(expr, msg)                           \
+  do {                                                      \
+    if (!(expr)) {                                          \
+      std::ostringstream ld_cli_oss_;                       \
+      ld_cli_oss_ << msg; /* NOLINT */                      \
+      throw ::leakydsp::util::CliError(ld_cli_oss_.str());  \
+    }                                                       \
+  } while (false)
 
 namespace leakydsp::util {
 
@@ -25,8 +38,8 @@ Cli::Cli(int argc, const char* const* argv,
 
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
-    LD_REQUIRE(arg.rfind("--", 0) == 0,
-               "unexpected positional argument '" << arg << "'");
+    LD_CLI_REQUIRE(arg.rfind("--", 0) == 0,
+                   "unexpected positional argument '" << arg << "'");
     std::string name = arg.substr(2);
     std::string inline_value;
     bool has_inline = false;
@@ -37,24 +50,25 @@ Cli::Cli(int argc, const char* const* argv,
     }
     // Repeating an option is always a mistake (a sweep script overriding
     // itself); last-wins would hide it, so reject it outright.
-    LD_REQUIRE(!values_.contains(name) && !flags_.contains(name),
-               "duplicate option --" << name);
+    LD_CLI_REQUIRE(!values_.contains(name) && !flags_.contains(name),
+                   "duplicate option --" << name);
     if (flag_opts.contains(name)) {
-      LD_REQUIRE(!has_inline, "flag --" << name << " takes no value");
+      LD_CLI_REQUIRE(!has_inline, "flag --" << name << " takes no value");
       flags_[name] = true;
     } else if (value_opts.contains(name)) {
       if (has_inline) {
         values_[name] = inline_value;
       } else {
-        LD_REQUIRE(i + 1 < argc, "option --" << name << " needs a value");
+        LD_CLI_REQUIRE(i + 1 < argc,
+                       "option --" << name << " needs a value");
         values_[name] = argv[++i];
       }
     } else {
       std::string known;
       for (const auto& o : value_opts) known += " --" + o;
       for (const auto& o : flag_opts) known += " --" + o + "(flag)";
-      LD_REQUIRE(false, "unknown option --" << name << "; valid options:"
-                                            << known);
+      LD_CLI_REQUIRE(false, "unknown option --" << name
+                                                << "; valid options:" << known);
     }
   }
 }
@@ -98,8 +112,8 @@ std::int64_t Cli::get_int(const std::string& name,
   try {
     return std::stoll(*v);
   } catch (const std::exception&) {
-    LD_REQUIRE(false, "option --" << name << " expects an integer, got '"
-                                  << *v << "'");
+    LD_CLI_REQUIRE(false, "option --" << name << " expects an integer, got '"
+                                      << *v << "'");
   }
   return fallback;  // unreachable
 }
@@ -110,8 +124,8 @@ double Cli::get_double(const std::string& name, double fallback) const {
   try {
     return std::stod(*v);
   } catch (const std::exception&) {
-    LD_REQUIRE(false, "option --" << name << " expects a number, got '" << *v
-                                  << "'");
+    LD_CLI_REQUIRE(false, "option --" << name << " expects a number, got '"
+                                      << *v << "'");
   }
   return fallback;  // unreachable
 }
@@ -123,8 +137,8 @@ std::uint64_t Cli::get_seed(const std::string& name,
   try {
     return std::stoull(*v, nullptr, 0);
   } catch (const std::exception&) {
-    LD_REQUIRE(false, "option --" << name << " expects a seed, got '" << *v
-                                  << "'");
+    LD_CLI_REQUIRE(false, "option --" << name << " expects a seed, got '"
+                                      << *v << "'");
   }
   return fallback;  // unreachable
 }
@@ -132,13 +146,28 @@ std::uint64_t Cli::get_seed(const std::string& name,
 std::size_t Cli::get_threads(const std::string& name) const {
   const auto n = get_int(
       name, static_cast<std::int64_t>(ThreadPool::hardware_threads()));
-  LD_REQUIRE(n >= 1, "option --" << name << " must be >= 1, got " << n);
+  LD_CLI_REQUIRE(n >= 1,
+                 "option --" << name << " must be >= 1, got " << n);
   return static_cast<std::size_t>(n);
 }
 
 bool Cli::get_flag(const std::string& name) const {
   const auto it = flags_.find(name);
   return it != flags_.end() && it->second;
+}
+
+int cli_main(int argc, char** argv, int (*body)(int argc, char** argv)) {
+  const std::string program = argc >= 1 ? argv[0] : "leakydsp";
+  const std::string name = program.substr(program.find_last_of('/') + 1);
+  try {
+    return body(argc, argv);
+  } catch (const CliError& e) {
+    std::cerr << name << ": " << e.what() << "\n";
+    return 2;
+  } catch (const std::exception& e) {
+    std::cerr << name << ": " << e.what() << "\n";
+    return 1;
+  }
 }
 
 }  // namespace leakydsp::util

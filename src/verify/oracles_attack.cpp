@@ -1,5 +1,5 @@
 // Differential oracles for the attack pipeline:
-//   - CpaKernel::kClassAccum vs kGemm (and kGemm vs a per-trace add_trace
+//   - CpaKernel::kSimd vs kGemm (and kGemm vs a per-trace add_trace
 //     loop, which the API pins as bit-identical),
 //   - the N-thread campaign vs the 1-thread campaign (bit-identical by the
 //     determinism contract),
@@ -28,7 +28,7 @@ namespace leakydsp::verify {
 
 namespace {
 
-// ------------------------------------------------ kClassAccum vs kGemm
+// ------------------------------------------------------ kSimd vs kGemm
 
 struct CpaKernelConfig {
   std::int64_t poi = 4;
@@ -46,7 +46,7 @@ std::string describe_cpa(const CpaKernelConfig& c) {
 
 Property<CpaKernelConfig> cpa_kernel_property() {
   Property<CpaKernelConfig> prop;
-  prop.name = "attack.cpa_class_accum_vs_gemm";
+  prop.name = "attack.cpa_simd_vs_gemm";
   prop.generate = [](util::Rng& rng) {
     CpaKernelConfig c;
     c.poi = gen_int(rng, 1, 12);
@@ -90,7 +90,7 @@ Property<CpaKernelConfig> cpa_kernel_property() {
       }
     }
 
-    attack::CpaAttack class_cpa(poi, attack::CpaKernel::kClassAccum);
+    attack::CpaAttack simd_cpa(poi, attack::CpaKernel::kSimd);
     attack::CpaAttack gemm_cpa(poi, attack::CpaKernel::kGemm);
     attack::CpaAttack reference(poi, attack::CpaKernel::kGemm);
     const std::size_t batch = static_cast<std::size_t>(c.batch);
@@ -99,7 +99,7 @@ Property<CpaKernelConfig> cpa_kernel_property() {
       const std::span<const crypto::Block> ct_span{cts.data() + lo, hi - lo};
       const std::span<const double> row_span{rows.data() + lo * poi,
                                              (hi - lo) * poi};
-      class_cpa.add_traces(ct_span, row_span);
+      simd_cpa.add_traces(ct_span, row_span);
       gemm_cpa.add_traces(ct_span, row_span);
     }
     // Per-trace reference: the API pins kGemm batches bit-identical to the
@@ -110,11 +110,11 @@ Property<CpaKernelConfig> cpa_kernel_property() {
 
     const auto gemm_scores = gemm_cpa.snapshot();
     const auto ref_scores = reference.snapshot();
-    const auto class_scores = class_cpa.snapshot();
+    const auto simd_scores = simd_cpa.snapshot();
     for (int b = 0; b < 16; ++b) {
       const auto& g = gemm_scores[static_cast<std::size_t>(b)];
       const auto& r = ref_scores[static_cast<std::size_t>(b)];
-      const auto& cl = class_scores[static_cast<std::size_t>(b)];
+      const auto& si = simd_scores[static_cast<std::size_t>(b)];
       for (int guess = 0; guess < 256; ++guess) {
         const std::size_t gi = static_cast<std::size_t>(guess);
         if (g.score[gi] != r.score[gi]) {
@@ -124,14 +124,14 @@ Property<CpaKernelConfig> cpa_kernel_property() {
               << " vs " << r.score[gi];
           return fail(oss.str());
         }
-        // The kernels reorder fp additions; scores must agree to fp
-        // associativity noise. n=1 must be bitwise.
+        // kSimd fuses each multiply-add; scores must agree to that
+        // rounding noise. n=1 must be bitwise.
         const double tol =
             n == 1 ? 0.0 : 1e-9 * std::max(1.0, std::fabs(r.score[gi]));
-        if (!(std::fabs(cl.score[gi] - r.score[gi]) <= tol)) {
+        if (!(std::fabs(si.score[gi] - r.score[gi]) <= tol)) {
           std::ostringstream oss;
-          oss << "kClassAccum diverges from reference at byte " << b
-              << " guess " << guess << ": " << cl.score[gi] << " vs "
+          oss << "kSimd diverges from reference at byte " << b
+              << " guess " << guess << ": " << si.score[gi] << " vs "
               << r.score[gi] << " (tol " << tol << ")";
           return fail(oss.str());
         }
@@ -366,8 +366,8 @@ Property<CampaignCase> campaign_resume_property() {
 
 void register_attack_oracles(std::vector<Oracle>& out) {
   out.push_back(make_oracle(
-      "CpaAttack kClassAccum kernel vs kGemm vs per-trace add_trace: "
-      "bitwise for kGemm/n=1, fp-associativity tolerance otherwise",
+      "CpaAttack kSimd kernel vs kGemm vs per-trace add_trace: "
+      "bitwise for kGemm/n=1, fused-rounding tolerance otherwise",
       1, cpa_kernel_property()));
   out.push_back(make_oracle(
       "TraceCampaign at N worker threads vs 1 thread: bit-identical "

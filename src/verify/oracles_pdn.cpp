@@ -1,5 +1,5 @@
 // Differential oracles for the preconditioned PDN solvers:
-//   - pdn.pcg_vs_cg: the IC(0) and SSOR PCG paths vs the plain Jacobi-CG
+//   - pdn.pcg_vs_cg: the IC(0) PCG path vs the plain Jacobi-CG
 //     reference on randomized grid shapes — including 1xN degenerate strips
 //     and all-pad rows — for multi-draw droop maps, unit-RHS transfer
 //     gains, and a warm-started re-solve against a perturbed draw map.
@@ -29,7 +29,6 @@ struct PdnSolverConfig {
   std::int64_t bottom_stride = 2;
   std::int64_t top_stride = 5;
   std::int64_t draws = 3;
-  std::int64_t kind = 0;  ///< 0 = IC(0), 1 = SSOR (pcg oracle only)
   std::uint64_t seed = 0;
 };
 
@@ -37,7 +36,7 @@ std::string describe_pdn(const PdnSolverConfig& c) {
   std::ostringstream oss;
   oss << "{nx=" << c.nx << " ny=" << c.ny << " bottom_stride="
       << c.bottom_stride << " top_stride=" << c.top_stride
-      << " draws=" << c.draws << " kind=" << c.kind << " seed=" << c.seed
+      << " draws=" << c.draws << " seed=" << c.seed
       << "}";
   return oss.str();
 }
@@ -197,18 +196,15 @@ Property<PdnSolverConfig> pcg_property() {
     c.bottom_stride = gen_int(rng, 1, 4);
     c.top_stride = gen_int(rng, 1, 6);
     c.draws = gen_int(rng, 0, 8);
-    c.kind = gen_int(rng, 0, 1);
     c.seed = rng();
     return c;
   };
   prop.shrink = [](const PdnSolverConfig& c) { return shrink_pdn(c, 1); };
   prop.describe = describe_pdn;
   prop.check = [](const PdnSolverConfig& c) -> CheckOutcome {
-    const pdn::SolverKind kind = c.kind == 0 ? pdn::SolverKind::kPcgIc0
-                                             : pdn::SolverKind::kPcgSsor;
     const pdn::PdnGrid grid(static_cast<int>(c.nx), static_cast<int>(c.ny),
-                            params_for(c, kind));
-    return check_against_reference(grid, c, kind);
+                            params_for(c, pdn::SolverKind::kPcgIc0));
+    return check_against_reference(grid, c, pdn::SolverKind::kPcgIc0);
   };
   return prop;
 }
@@ -242,7 +238,7 @@ Property<PdnSolverConfig> twogrid_property() {
 
 void register_pdn_oracles(std::vector<Oracle>& out) {
   out.push_back(make_oracle(
-      "IC(0) and SSOR preconditioned CG vs the plain Jacobi-CG reference on "
+      "IC(0) preconditioned CG vs the plain Jacobi-CG reference on "
       "randomized meshes (incl. 1xN strips and all-pad rows): solutions "
       "within 1e-7 rel inf-norm, true residual within 1e-10, for droop "
       "maps, unit-RHS gains, and warm-started re-solves",

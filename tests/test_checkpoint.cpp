@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <limits>
 #include <memory>
 #include <stdexcept>
@@ -219,7 +220,7 @@ TEST(CheckpointKeying, CampaignsKeyedOnIdShareOneDirectoryWithoutClobbering) {
   EXPECT_TRUE(std::filesystem::exists(dir.path() + "/campaign-beta.ckpt"));
   EXPECT_TRUE(la::TraceCampaign::checkpoint_exists(dir.path(), "alpha"));
   EXPECT_TRUE(la::TraceCampaign::checkpoint_exists(dir.path(), "beta"));
-  // No legacy single-file checkpoint was touched.
+  // No id-less single-file checkpoint was touched.
   EXPECT_FALSE(la::TraceCampaign::checkpoint_exists(dir.path()));
 
   // Each id resumes its OWN completed state, byte-identical — beta's run
@@ -228,23 +229,31 @@ TEST(CheckpointKeying, CampaignsKeyedOnIdShareOneDirectoryWithoutClobbering) {
   EXPECT_TRUE(identical_results(resume_keyed(beta), ran_beta));
 }
 
-TEST(CheckpointKeying, KeyedCampaignStillLoadsLegacyCheckpoint) {
-  // Pre-id checkpoints stay resumable: a campaign that now carries an id
-  // falls back to the historical "campaign.ckpt" when its keyed file is
-  // absent.
+TEST(CheckpointKeying, KeyedCampaignRejectsForeignLegacyCheckpoint) {
+  // The bug this pins: a keyed campaign whose own file was absent used to
+  // fall back to an id-less "campaign.ckpt". The compatibility check
+  // compares config fields but not the seed or the key, so a campaign with
+  // a different seed silently adopted another campaign's state.
   const TempDir dir("legacy");
-  auto legacy = keyed_spec("", 303, dir.path());  // id-less: legacy name
-  const auto ran = run_keyed(legacy);
+  const auto legacy = keyed_spec("", 303, dir.path());  // id-less name
+  (void)run_keyed(legacy);
   ASSERT_TRUE(la::TraceCampaign::checkpoint_exists(dir.path()));
+  const auto read_legacy = [&] {
+    std::ifstream in(dir.path() + "/campaign.ckpt", std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in), {});
+  };
+  const std::string legacy_bytes = read_legacy();
 
-  auto migrated = legacy;
-  migrated.id = "migrated";
-  EXPECT_TRUE(identical_results(resume_keyed(migrated), ran));
+  const auto keyed = keyed_spec("fresh", 404, dir.path());
+  ASSERT_FALSE(la::TraceCampaign::checkpoint_exists(dir.path(), keyed.id));
+  EXPECT_THROW((void)resume_keyed(keyed), la::CheckpointError);
+  auto world = lserve::make_standard_world(keyed);
+  EXPECT_THROW((void)world->campaign().load_task(), la::CheckpointError);
 
-  // Once the keyed file exists it wins over the legacy one.
-  const auto keyed_run = run_keyed(migrated);
-  EXPECT_TRUE(std::filesystem::exists(dir.path() + "/campaign-migrated.ckpt"));
-  EXPECT_TRUE(identical_results(resume_keyed(migrated), keyed_run));
+  // Nothing was adopted or rewritten: no keyed file appeared and the
+  // foreign checkpoint is untouched.
+  EXPECT_FALSE(la::TraceCampaign::checkpoint_exists(dir.path(), keyed.id));
+  EXPECT_EQ(read_legacy(), legacy_bytes);
 }
 
 TEST(CheckpointKeying, IdsAreSanitizedIntoSafeFilenames) {

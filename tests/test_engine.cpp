@@ -113,58 +113,6 @@ TEST_F(EngineTest, MultipleRigsSampleSameRun) {
   EXPECT_LT(ls::mean(results[0].readouts), ls::mean(results[1].readouts));
 }
 
-TEST_F(EngineTest, ChunkedRunIsBitwiseIdenticalToRunForEveryChunking) {
-  // The resumable start_run/step_run/finish_run path must reproduce run()
-  // exactly: the source stream steps sequentially across chunks and each
-  // rig's noise stream forks once per run, so no chunking can show in the
-  // readouts. A stateful (rng-drawing) source makes any stream slip
-  // visible immediately.
-  const std::size_t node = scenario_.grid().node_of_site({24, 24});
-  const auto build = [&](lsim::SensorRig& rig) {
-    auto engine = std::make_unique<lsim::Engine>(scenario_.grid());
-    engine->add_source(std::make_unique<lsim::NodeSource>(
-        "noisy", node,
-        [](double, lu::Rng& rng) { return 3.0 + rng.gaussian(); }));
-    engine->add_rig(rig);
-    engine->set_threads(2);
-    return engine;
-  };
-
-  lcore::LeakyDspSensor ref_sensor(scenario_.device(), {16, 20});
-  lsim::SensorRig ref_rig(scenario_.grid(), ref_sensor);
-  lu::Rng ref_rng(99);
-  const auto reference = build(ref_rig)->run(257, ref_rng);
-
-  for (const std::size_t chunk : {1ul, 7ul, 64ul, 256ul, 1000ul}) {
-    lcore::LeakyDspSensor sensor(scenario_.device(), {16, 20});
-    lsim::SensorRig rig(scenario_.grid(), sensor);
-    lu::Rng rng(99);
-    auto engine = build(rig);
-    auto run = engine->start_run(257, rng);
-    std::size_t advanced = 0;
-    while (const std::size_t n = engine->step_run(run, chunk)) {
-      advanced += n;
-      EXPECT_LE(n, chunk);
-    }
-    EXPECT_EQ(advanced, 257u);
-    EXPECT_TRUE(run.done());
-    const auto chunked = engine->finish_run(std::move(run));
-    ASSERT_EQ(chunked.size(), reference.size());
-    EXPECT_EQ(chunked[0].readouts, reference[0].readouts)
-        << "chunk size " << chunk << " perturbed the readouts";
-  }
-
-  // finish_run before completion violates its precondition.
-  lcore::LeakyDspSensor sensor(scenario_.device(), {16, 20});
-  lsim::SensorRig rig(scenario_.grid(), sensor);
-  lu::Rng rng(99);
-  auto engine = build(rig);
-  auto partial = engine->start_run(100, rng);
-  ASSERT_GT(engine->step_run(partial, 10), 0u);
-  EXPECT_THROW((void)engine->finish_run(std::move(partial)),
-               lu::PreconditionError);
-}
-
 TEST_F(EngineTest, WorkloadSourceAdapters) {
   // Workloads plug into the engine through NodeSource closures.
   lv::FirFilterWorkload fir;

@@ -1,8 +1,8 @@
 // Tests for the single-core hot-path kernels (DESIGN.md, "Hot-path kernels
 // & approximation bounds"): the ScaleTable LUT against the exact
 // alpha-power law, the O(1) uniform-chain stages_within fast path, the
-// ziggurat Gaussian sampler, the class-accumulator CPA kernel against the
-// GEMM kernel, and the batched sensor sampling path against the scalar one.
+// ziggurat Gaussian sampler, the kSimd CPA kernel's hypothesis sums
+// against the GEMM kernel, and the batched sensor sampling path against the scalar one.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -249,7 +249,7 @@ TEST(Ziggurat, MeanAndStddevOverloadScales) {
   EXPECT_THROW(rng.gaussian_zig(0.0, -1.0), lu::PreconditionError);
 }
 
-// ------------------------------------------------- class-accum CPA kernel
+// -------------------------------------------------------- CPA kernels
 
 TEST(CpaKernels, PairTableMatchesPerByteRows) {
   lu::Rng rng(321);
@@ -267,64 +267,8 @@ TEST(CpaKernels, PairTableMatchesPerByteRows) {
   }
 }
 
-TEST(CpaKernels, SingleTraceBatchIsBitIdenticalAcrossKernels) {
-  // add_trace routes through add_traces with n = 1, where the class
-  // kernel's bucket pass degenerates to the row itself — identical
-  // floating-point operations, identical results.
-  constexpr std::size_t kPoi = 9;
-  lu::Rng rng(606);
-  la::CpaAttack cls(kPoi, la::CpaKernel::kClassAccum);
-  la::CpaAttack gemm(kPoi, la::CpaKernel::kGemm);
-  std::vector<double> row(kPoi);
-  for (int t = 0; t < 40; ++t) {
-    const lc::Block ct = random_block(rng);
-    for (auto& s : row) s = 40.0 + rng.gaussian();
-    cls.add_trace(ct, row);
-    gemm.add_trace(ct, row);
-  }
-  const auto a = cls.snapshot();
-  const auto b = gemm.snapshot();
-  for (std::size_t byte = 0; byte < 16; ++byte) {
-    for (std::size_t g = 0; g < 256; ++g) {
-      ASSERT_EQ(a[byte].score[g], b[byte].score[g]);
-    }
-  }
-}
-
-TEST(CpaKernels, ClassKernelMatchesGemmOnBatches) {
-  constexpr std::size_t kPoi = 12;
-  constexpr std::size_t kTraces = 512;
-  constexpr std::size_t kBatch = 64;
-  lu::Rng rng(707);
-  std::vector<lc::Block> cts(kTraces);
-  std::vector<double> rows(kTraces * kPoi);
-  for (auto& ct : cts) ct = random_block(rng);
-  for (auto& s : rows) s = 40.0 + rng.gaussian();
-
-  la::CpaAttack cls(kPoi, la::CpaKernel::kClassAccum);
-  la::CpaAttack gemm(kPoi, la::CpaKernel::kGemm);
-  for (std::size_t lo = 0; lo < kTraces; lo += kBatch) {
-    cls.add_traces({cts.data() + lo, kBatch}, {rows.data() + lo * kPoi,
-                                               kBatch * kPoi});
-    gemm.add_traces({cts.data() + lo, kBatch}, {rows.data() + lo * kPoi,
-                                                kBatch * kPoi});
-  }
-  EXPECT_EQ(cls.trace_count(), gemm.trace_count());
-  // The kernels reorder additions, so scores agree to fp-reassociation
-  // accuracy — and the decisions (argmax per byte) agree exactly.
-  const auto a = cls.snapshot();
-  const auto b = gemm.snapshot();
-  for (std::size_t byte = 0; byte < 16; ++byte) {
-    for (std::size_t g = 0; g < 256; ++g) {
-      ASSERT_NEAR(a[byte].score[g], b[byte].score[g], 1e-9);
-    }
-  }
-  EXPECT_EQ(cls.recovered_round_key(), gemm.recovered_round_key());
-  EXPECT_EQ(cls.recovered_master_key(), gemm.recovered_master_key());
-}
-
 TEST(CpaKernels, HypothesisSumsAreExactIntegers) {
-  // The class kernel accumulates hypothesis sums as integers; every
+  // The kSimd kernel accumulates hypothesis sums as integers; every
   // partial sum is therefore exactly representable and equal to the
   // brute-force integer total.
   constexpr std::size_t kPoi = 3;
@@ -334,8 +278,8 @@ TEST(CpaKernels, HypothesisSumsAreExactIntegers) {
   std::vector<double> rows(kTraces * kPoi, 1.0);
   for (auto& ct : cts) ct = random_block(rng);
 
-  la::CpaAttack cls(kPoi, la::CpaKernel::kClassAccum);
-  cls.add_traces(cts, rows);
+  la::CpaAttack simd(kPoi, la::CpaKernel::kSimd);
+  simd.add_traces(cts, rows);
 
   // Recover sum_h via the serialized state-free route: correlate against
   // constant traces => use snapshot internals indirectly. Simpler: check
@@ -343,7 +287,7 @@ TEST(CpaKernels, HypothesisSumsAreExactIntegers) {
   la::CpaAttack gemm(kPoi, la::CpaKernel::kGemm);
   gemm.add_traces(cts, rows);
   lu::ByteWriter wc, wg;
-  cls.serialize(wc);
+  simd.serialize(wc);
   gemm.serialize(wg);
   // Layout: u64 poi, u64 traces, sum_t[poi], sum_t2[poi], sum_h[16][256]...
   lu::ByteReader rc(wc.span()), rg(wg.span());
@@ -354,10 +298,10 @@ TEST(CpaKernels, HypothesisSumsAreExactIntegers) {
     (void)rg.f64();
   }
   for (std::size_t i = 0; i < 2 * 16 * 256; ++i) {
-    const double h_cls = rc.f64();
+    const double h_simd = rc.f64();
     const double h_gemm = rg.f64();
-    ASSERT_EQ(h_cls, h_gemm);                      // integers agree exactly
-    ASSERT_EQ(h_cls, std::floor(h_cls));           // and are whole numbers
+    ASSERT_EQ(h_simd, h_gemm);                     // integers agree exactly
+    ASSERT_EQ(h_simd, std::floor(h_simd));         // and are whole numbers
   }
 }
 

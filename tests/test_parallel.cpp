@@ -141,8 +141,6 @@ TEST(CpaShards, AddTracesMatchesPerTraceAccumulation) {
     for (int g = 0; g < 256; ++g) {
       // Bit-identical, not approximately equal: the GEMM kernel performs
       // the same additions in the same order regardless of batch split.
-      // (The class kernel reorders additions by Hamming class; its
-      // agreement is covered in test_hotpath.cpp.)
       ASSERT_EQ(a[static_cast<std::size_t>(byte)].score[static_cast<std::size_t>(g)],
                 b[static_cast<std::size_t>(byte)].score[static_cast<std::size_t>(g)]);
     }

@@ -162,8 +162,6 @@ TEST(PdnSolver, ResolveSelectsKind) {
             SolverKind::kPcgIc0);
   EXPECT_EQ(SolverContext::resolve(SolverKind::kTwoGrid, 40, 2, 0),
             SolverKind::kPcgIc0);
-  EXPECT_EQ(SolverContext::resolve(SolverKind::kPcgSsor, 1, 1, 0),
-            SolverKind::kPcgSsor);
   EXPECT_EQ(SolverContext::resolve(SolverKind::kReferenceCg, 99, 99, 0),
             SolverKind::kReferenceCg);
 }
@@ -181,7 +179,6 @@ TEST(PdnSolver, AutoThresholdSwitchesToTwoGrid) {
 TEST(PdnSolver, VariantsAgreeWithReferenceOnRandomShapes) {
   lu::Rng rng(57);
   const lp::SolverKind kinds[] = {lp::SolverKind::kPcgIc0,
-                                  lp::SolverKind::kPcgSsor,
                                   lp::SolverKind::kTwoGrid};
   for (int trial = 0; trial < 6; ++trial) {
     const int nx = 1 + static_cast<int>(rng() % 24);
@@ -215,8 +212,7 @@ TEST(PdnSolver, DegenerateShapesAndAllPadRowsAgree) {
   const Shape shapes[] = {{1, 1}, {1, 37}, {37, 1}, {2, 2}, {3, 19}};
   for (const auto& s : shapes) {
     for (const lp::SolverKind kind :
-         {lp::SolverKind::kPcgIc0, lp::SolverKind::kPcgSsor,
-          lp::SolverKind::kTwoGrid}) {
+         {lp::SolverKind::kPcgIc0, lp::SolverKind::kTwoGrid}) {
       lp::PdnParams p;
       p.solver = kind;
       p.bottom_pad_stride = 1;
@@ -234,14 +230,46 @@ TEST(PdnSolver, DegenerateShapesAndAllPadRowsAgree) {
 }
 
 TEST(PdnSolver, Ic0DoesNotFallBackOnMeshSystems) {
+  // The mesh Laplacian is an M-matrix, so IC(0) builds without throwing.
   for (const int dim : {1, 2, 7, 30}) {
     lp::PdnParams p;
     p.solver = lp::SolverKind::kPcgIc0;
-    const lp::PdnGrid grid(dim, dim, p);
-    EXPECT_EQ(grid.solver_context().resolved_kind(),
-              lp::SolverKind::kPcgIc0)
-        << dim;
+    EXPECT_NO_THROW({
+      const lp::PdnGrid grid(dim, dim, p);
+      EXPECT_EQ(grid.solver_context().resolved_kind(),
+                lp::SolverKind::kPcgIc0);
+    }) << dim;
   }
+}
+
+TEST(PdnSolver, Ic0BreakdownOnNonMMatrixThrowsSolverError) {
+  // An SPD matrix on the 3x3 five-point stencil whose mixed-sign
+  // off-diagonals make the IC(0) pivot of the last row go negative: not an
+  // M-matrix, so incomplete Cholesky is not guaranteed to exist.
+  constexpr double kDiag[9] = {6, 3, 5, 3, 6, 4, 2, 3, 6};
+  struct Edge {
+    std::size_t i, j;
+    double v;
+  };
+  constexpr Edge kEdges[] = {{0, 1, 1},  {0, 3, -1}, {1, 2, -3}, {1, 4, 1},
+                             {2, 5, -1}, {3, 4, 3},  {3, 6, 1},  {4, 5, 1},
+                             {4, 7, 1},  {5, 8, -2}, {6, 7, -2}, {7, 8, -1}};
+  lp::SparseMatrix a(9);
+  for (std::size_t i = 0; i < 9; ++i) a.add(i, i, kDiag[i]);
+  for (const Edge& e : kEdges) {
+    a.add(e.i, e.j, e.v);
+    a.add(e.j, e.i, e.v);
+  }
+  a.freeze();
+
+  // SPD: the unpreconditioned reference CG converges on it.
+  const lp::SolverContext reference(a, 3, 3, lp::SolverKind::kReferenceCg);
+  const std::vector<double> b = {1, -2, 3, 0.5, 1, -1, 2, 0, 1};
+  std::vector<double> x(9, 0.0);
+  EXPECT_TRUE(reference.solve(a, b, x).converged);
+
+  EXPECT_THROW(lp::SolverContext(a, 3, 3, lp::SolverKind::kPcgIc0),
+               lp::SolverError);
 }
 
 TEST(PdnSolver, PreconditioningReducesIterations) {

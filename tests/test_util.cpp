@@ -5,6 +5,7 @@
 #include <cmath>
 #include <limits>
 #include <sstream>
+#include <stdexcept>
 
 #include "util/bench_json.h"
 #include "util/bitvec.h"
@@ -396,6 +397,42 @@ TEST(Cli, BadIntegerThrows) {
   const char* argv[] = {"prog", "--traces", "abc"};
   lu::Cli cli(3, argv, {"traces"});
   EXPECT_THROW(cli.get_int("traces", 0), lu::PreconditionError);
+}
+
+TEST(Cli, UsageErrorsAreTypedCliErrors) {
+  const char* unknown[] = {"prog", "--help"};
+  EXPECT_THROW(lu::Cli(2, unknown, {"traces"}), lu::CliError);
+  const char* positional[] = {"prog", "stray"};
+  EXPECT_THROW(lu::Cli(2, positional, {"traces"}), lu::CliError);
+  const char* missing[] = {"prog", "--traces"};
+  EXPECT_THROW(lu::Cli(2, missing, {"traces"}), lu::CliError);
+  const char* bad[] = {"prog", "--traces", "x", "--rate", "y", "--seed", "z",
+                       "--threads", "0"};
+  const lu::Cli cli(9, bad, {"traces", "rate", "seed", "threads"});
+  EXPECT_THROW(cli.get_int("traces", 0), lu::CliError);
+  EXPECT_THROW(cli.get_double("rate", 0.0), lu::CliError);
+  EXPECT_THROW(cli.get_seed("seed", 0), lu::CliError);
+  EXPECT_THROW(cli.get_threads(), lu::CliError);
+}
+
+TEST(Cli, CliMainMapsUsageErrorsToExitTwo) {
+  char prog[] = "prog";
+  char bogus[] = "--bogus";
+  char* argv[] = {prog, bogus};
+  EXPECT_EQ(lu::cli_main(2, argv, [](int argc, char** args) {
+              const lu::Cli cli(argc, args, {"quick!"});
+              return 0;
+            }),
+            2);
+  EXPECT_EQ(lu::cli_main(1, argv, [](int argc, char** args) {
+              const lu::Cli cli(argc, args, {"quick!"});
+              return 7;
+            }),
+            7);
+  EXPECT_EQ(lu::cli_main(1, argv, [](int, char**) -> int {
+              throw std::runtime_error("boom");
+            }),
+            1);
 }
 
 TEST(Units, Conversions) {

@@ -115,7 +115,7 @@ TEST(OracleRegistry, CoversEveryOptimizedReferencePair) {
   for (const char* required :
        {"timing.scale_table_vs_pow", "timing.stages_within_scaled_vs_scan",
         "sensors.leakydsp_batch_vs_scalar", "sensors.tdc_batch_vs_scalar",
-        "store.v2_roundtrip_vs_memory", "attack.cpa_class_accum_vs_gemm",
+        "store.v2_roundtrip_vs_memory", "attack.cpa_simd_vs_gemm",
         "attack.campaign_parallel_vs_serial",
         "attack.campaign_resume_vs_straight", "fabric.spec_invariants",
         "fabric.generated_vs_hardcoded"}) {

@@ -14,7 +14,8 @@
 //
 // Every campaign's result is byte-identical to a standalone
 // TraceCampaign::run of the same spec, whatever the scheduling. Exit
-// status 0 iff every campaign drained without error.
+// status 0 iff every campaign drained without error, 2 on a usage error
+// (unknown or malformed flag), 1 on any other failure.
 #include <chrono>
 #include <cstdint>
 #include <exception>
@@ -175,6 +176,9 @@ int main(int argc, char** argv) {
           ec);
     }
     return 0;
+  } catch (const util::CliError& e) {
+    std::cerr << "leakydsp_serve: " << e.what() << "\n";
+    return 2;
   } catch (const std::exception& e) {
     std::cerr << "leakydsp_serve: " << e.what() << "\n";
     return 1;
