@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <tuple>
 #include <vector>
 
@@ -57,8 +58,11 @@ INSTANTIATE_TEST_SUITE_P(
 
 // ------------------------------------------------------ PDN physics sweep
 
+// No padding bytes: gtest prints an unprintable parameter as its raw bytes
+// and ctest names each case from that dump, so padding left indeterminate
+// by aggregate initialisation would give the cases a new name every run.
 struct PdnCase {
-  int pitch;
+  std::int64_t pitch;
   double gn;
   double gp;
   double boost;
@@ -69,7 +73,7 @@ class PdnSweep : public ::testing::TestWithParam<PdnCase> {};
 TEST_P(PdnSweep, ReciprocitySuperpositionPositivity) {
   const auto c = GetParam();
   lp::PdnParams params;
-  params.node_pitch = c.pitch;
+  params.node_pitch = static_cast<int>(c.pitch);
   params.neighbor_conductance = c.gn;
   params.pad_conductance = c.gp;
   params.bottom_pad_boost = c.boost;
