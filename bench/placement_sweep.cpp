@@ -12,7 +12,12 @@
 //              distinct clock regions per cell, fused by summing the
 //              per-guess CPA score vectors
 //
-//   $ ./placement_sweep [--quick]
+//   $ ./placement_sweep [--quick] [--threads N]
+//
+// --threads sizes the service pool (default: hardware concurrency). The
+// sweep results are identical at every thread count; the scheduler
+// counters (evictions, stolen blocks, rebuild-driven PDN solves) follow
+// the schedule, so the CI record gate runs with --threads 1.
 //
 // Prints tables and writes BENCH_placement_sweep.json (host metadata +
 // obs metrics) into the working directory. Acceptance: zero identity
@@ -78,9 +83,10 @@ scenario::SweepConfig sweep_config(int dim, int rows, int cols, int k,
   return config;
 }
 
-serve::ServiceConfig service_config(const std::string& checkpoint_dir) {
+serve::ServiceConfig service_config(std::size_t threads,
+                                    const std::string& checkpoint_dir) {
   serve::ServiceConfig config;
-  config.threads = 0;  // hardware concurrency
+  config.threads = threads;
   config.max_resident = 8;
   config.quantum_steps = 1;
   config.checkpoint_dir = checkpoint_dir;
@@ -122,9 +128,10 @@ bool identical(const attack::CampaignResult& a,
 }
 
 int run(int argc, char** argv) {
-  const util::Cli cli(argc, argv, {"quick!"}, obs::cli_options());
+  const util::Cli cli(argc, argv, {"quick!", "threads"}, obs::cli_options());
   const std::string trace_out = obs::apply_cli(cli);
   const bool quick = cli.get_flag("quick");
+  const std::size_t threads = cli.get_threads();
 
   util::BenchJson report("placement_sweep");
   util::Table table({"die", "cell", "dist", "gain", "broken", "traces",
@@ -158,7 +165,7 @@ int run(int argc, char** argv) {
 
     const auto drain_start = std::chrono::steady_clock::now();
     const scenario::SweepOutcome outcome =
-        scenario::run_sweep(config, service_config(ckpt));
+        scenario::run_sweep(config, service_config(threads, ckpt));
     const double drain_ms = ms_since(drain_start);
 
     for (std::size_t i = 0; i < outcome.plan.cells.size(); ++i) {
@@ -239,7 +246,7 @@ int run(int argc, char** argv) {
     const scenario::SweepConfig config =
         sweep_config(coop_dim, /*rows=*/1, /*cols=*/2, k, ckpt);
     const scenario::SweepOutcome outcome =
-        scenario::run_sweep(config, service_config(ckpt));
+        scenario::run_sweep(config, service_config(threads, ckpt));
     for (std::size_t i = 0; i < outcome.cells.size(); ++i) {
       const scenario::SweepCell& cell = outcome.plan.cells[i];
       const scenario::CellOutcome& result = outcome.cells[i];

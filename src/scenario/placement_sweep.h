@@ -109,7 +109,9 @@ struct CellWorldSpec {
 /// Deterministic world factory: generates the device, draws the cell key
 /// (shared by every sensor of the cell), forks the per-sensor stream,
 /// builds victim + sensor + calibrated rig. Campaigns built here keep
-/// their final CPA score vectors for fusion.
+/// their final CPA score vectors for fusion. Safe to call concurrently:
+/// every world owns its die and mesh, and the pdn::SolverContext cache
+/// they share is internally synchronized.
 std::unique_ptr<serve::CampaignWorld> make_sweep_world(
     const CellWorldSpec& spec);
 

@@ -30,8 +30,8 @@ std::uint64_t now_ns() {
 
 /// One schedulable unit: a block index of some resident campaign's current
 /// plan (attack step or record wave). The pointer stays valid until the
-/// plan's last block completes — residents are only released from
-/// complete-step/complete-wave, which runs after the final block.
+/// plan's last block completes — a resident is only retired after its
+/// plan's final block ran.
 struct Resident;
 struct BlockItem {
   Resident* resident = nullptr;
@@ -69,6 +69,9 @@ struct QueuedJob {
   bool has_checkpoint = false;
 };
 
+/// How a resident leaves its slot.
+enum class Exit { kFinished, kEvicted };
+
 }  // namespace
 
 struct CampaignService::Impl {
@@ -90,9 +93,18 @@ struct CampaignService::Impl {
   };
   std::vector<std::unique_ptr<WorkerDeque>> deques;
 
-  std::mutex mutex;  ///< campaign lifecycle: admission, finish, eviction
+  /// Guards the scheduler tables only: pending, residents, building,
+  /// parked, the budget, stats and the per-job states. World builds,
+  /// finish_step, checkpoint writes and world teardown run without it.
+  std::mutex mutex;
   std::vector<std::unique_ptr<Resident>> residents;
   std::deque<std::size_t> pending;  ///< FIFO of job indices awaiting a slot
+  /// Slots reserved by admissions whose world is still being built.
+  std::size_t building = 0;
+  /// Built worlds the memory budget refused, oldest first. They are the
+  /// head of the queue: they install on a later release, before any new
+  /// reservation, and are never rebuilt.
+  std::deque<std::unique_ptr<Resident>> parked;
   std::size_t next_deque = 0;       ///< round-robin push cursor
   std::size_t resident_bytes = 0;
 
@@ -129,6 +141,10 @@ struct CampaignService::Impl {
     cv.notify_all();
   }
 
+  /// Jobs waiting for a slot: queued, or built and refused by the budget.
+  /// Caller holds `mutex`.
+  bool waiting_locked() const { return !pending.empty() || !parked.empty(); }
+
   /// Mirrors scheduler state into registry gauges so a /metrics scrape
   /// tracks the drain live (ServiceStats only lands in the struct at the
   /// end). Caller holds `mutex`; the deque mutexes nest under it exactly
@@ -147,7 +163,8 @@ struct CampaignService::Impl {
     OBS_GAUGE_SET("serve.stats.blocks_stolen",
                   stats_blocks_stolen.load(std::memory_order_relaxed));
     OBS_GAUGE_SET("serve.resident", residents.size());
-    OBS_GAUGE_SET("serve.pending", pending.size());
+    OBS_GAUGE_SET("serve.pending", pending.size() + parked.size());
+    OBS_GAUGE_SET("serve.building", building);
     OBS_GAUGE_SET("serve.resident_bytes", resident_bytes);
     obs::Registry& reg = obs::Registry::global();
     for (std::size_t w = 0; w < deques.size(); ++w) {
@@ -200,92 +217,123 @@ struct CampaignService::Impl {
     return false;
   }
 
-  /// Admits queued jobs while slots and budget allow. Caller holds `mutex`.
-  void admit_locked() {
-    while (!pending.empty() && residents.size() < config.max_resident) {
-      const std::size_t job_index = pending.front();
-      QueuedJob& queued = jobs[job_index];
+  // ------------------------------------------------------------ admission
+  //
+  // Three phases: reserve a slot under the lock, hydrate the world without
+  // it, install under the lock. A reserved or parked world holds its slot,
+  // so live worlds never exceed max_resident.
 
-      auto resident = std::make_unique<Resident>();
-      resident->job_index = job_index;
-      resident->world = queued.job.make();
-      LD_REQUIRE(resident->world != nullptr,
-                 "campaign job '" << queued.job.id << "' factory returned null");
-      attack::TraceCampaign& campaign = resident->world->campaign();
-
-      resident->task_bytes = campaign.approx_task_bytes();
-      // Admission by memory budget — but never starve an empty service:
-      // a single oversized campaign degrades to sequential execution.
-      if (config.memory_budget_bytes != 0 && !residents.empty() &&
-          resident_bytes + resident->task_bytes > config.memory_budget_bytes) {
-        return;  // world is torn down again; rebuilt on the next attempt
+  /// Admits the next queued job, building its world on the calling worker.
+  /// Returns false when no slot is free, nothing is queued, or a parked
+  /// world is waiting for the next release.
+  bool try_admit() {
+    std::size_t job_index = 0;
+    bool from_checkpoint = false;
+    {
+      std::lock_guard<std::mutex> lock(mutex);
+      if (aborted.load(std::memory_order_acquire) || pending.empty() ||
+          !parked.empty() ||
+          residents.size() + building >= config.max_resident) {
+        return false;
       }
+      job_index = pending.front();
       pending.pop_front();
-      resident_bytes += resident->task_bytes;
-      stats.peak_resident_bytes =
-          std::max(stats.peak_resident_bytes, resident_bytes);
-
-      if (queued.job.record.has_value()) {
-        const RecordJobSpec& spec = *queued.job.record;
-        LD_REQUIRE(spec.traces >= 1,
-                   "record job '" << queued.job.id << "' needs traces");
-        LD_REQUIRE(!spec.out_path.empty(),
-                   "record job '" << queued.job.id << "' needs an out path");
-        resident->is_record = true;
-        resident->writer = std::make_unique<sim::TraceStoreWriter>(
-            spec.out_path, campaign.trace_samples());
-        resident->cursor = campaign.start_record(resident->world->rng());
-      } else if (queued.has_checkpoint || queued.job.resume) {
-        resident->task.emplace(campaign.load_task());
-        if (queued.has_checkpoint) {
-          ++stats.rehydrations;
-          OBS_COUNT("serve.rehydrations", 1);
-        }
-      } else {
-        resident->task.emplace(campaign.start(resident->world->rng()));
-      }
-      job_states[job_index] = CampaignState::kResident;
-      if (resident->is_record) {
-        job_traces[job_index] = {resident->record_done,
-                                 queued.job.record->traces};
-      } else {
-        job_traces[job_index] = {resident->task->traces_done(),
-                                 campaign.config().max_traces};
-      }
-      OBS_LOG(obs::LogLevel::kDebug, "serve", "campaign admitted",
-              obs::f("campaign", queued.job.id),
-              obs::f("rehydrated", queued.has_checkpoint),
-              obs::f("resident", residents.size() + 1),
-              obs::f("resident_bytes", resident_bytes));
-
-      Resident& ref = *resident;
-      residents.push_back(std::move(resident));
-      stats.peak_resident = std::max(stats.peak_resident, residents.size());
-      plan_next_locked(ref);
+      from_checkpoint = jobs[job_index].has_checkpoint;
+      ++building;
+      publish_stats_locked();
     }
-    publish_stats_locked();
+    std::unique_ptr<Resident> resident = hydrate(job_index, from_checkpoint);
+    Resident* idle = nullptr;
+    {
+      std::lock_guard<std::mutex> lock(mutex);
+      --building;
+      Resident* installed = install_locked(resident);
+      if (installed == nullptr) {
+        parked.push_back(std::move(resident));
+      } else if (!plan_next_locked(*installed)) {
+        idle = installed;
+      }
+      publish_stats_locked();
+    }
+    if (idle != nullptr) retire(*idle, Exit::kFinished);
+    return true;
   }
 
-  /// Plans the resident's next step (or record wave) and deals its blocks;
-  /// finishes the campaign when no work remains. Caller holds `mutex`.
-  void plan_next_locked(Resident& resident) {
+  /// Builds the job's world and its task (or record cursor). The resident
+  /// is private to the calling worker until installed, so no lock is held.
+  std::unique_ptr<Resident> hydrate(std::size_t job_index,
+                                    bool from_checkpoint) const {
+    const CampaignJob& job = jobs[job_index].job;
+    auto resident = std::make_unique<Resident>();
+    resident->job_index = job_index;
+    resident->world = job.make();
+    LD_REQUIRE(resident->world != nullptr,
+               "campaign job '" << job.id << "' factory returned null");
+    attack::TraceCampaign& campaign = resident->world->campaign();
+    resident->task_bytes = campaign.approx_task_bytes();
+    if (job.record.has_value()) {
+      const RecordJobSpec& spec = *job.record;
+      LD_REQUIRE(spec.traces >= 1, "record job '" << job.id << "' needs traces");
+      LD_REQUIRE(!spec.out_path.empty(),
+                 "record job '" << job.id << "' needs an out path");
+      resident->is_record = true;
+      resident->writer = std::make_unique<sim::TraceStoreWriter>(
+          spec.out_path, campaign.trace_samples());
+      resident->cursor = campaign.start_record(resident->world->rng());
+    } else if (from_checkpoint || job.resume) {
+      resident->task.emplace(campaign.load_task());
+    } else {
+      resident->task.emplace(campaign.start(resident->world->rng()));
+    }
+    return resident;
+  }
+
+  /// Makes a hydrated resident resident, unless the memory budget refuses
+  /// it — but never starve an empty service: a single oversized campaign
+  /// degrades to sequential execution. Returns null (leaving `resident`
+  /// with the caller) on refusal. Caller holds `mutex`.
+  Resident* install_locked(std::unique_ptr<Resident>& resident) {
+    if (config.memory_budget_bytes != 0 && !residents.empty() &&
+        resident_bytes + resident->task_bytes > config.memory_budget_bytes) {
+      return nullptr;
+    }
+    const std::size_t job_index = resident->job_index;
+    const QueuedJob& queued = jobs[job_index];
+    resident_bytes += resident->task_bytes;
+    stats.peak_resident_bytes =
+        std::max(stats.peak_resident_bytes, resident_bytes);
+    if (queued.has_checkpoint) {
+      ++stats.rehydrations;
+      OBS_COUNT("serve.rehydrations", 1);
+    }
+    job_states[job_index] = CampaignState::kResident;
+    job_traces[job_index] =
+        resident->is_record
+            ? std::pair{resident->record_done, queued.job.record->traces}
+            : std::pair{resident->task->traces_done(),
+                        resident->world->campaign().config().max_traces};
+    last_progress_ns.store(now_ns(), std::memory_order_relaxed);
+    OBS_LOG(obs::LogLevel::kDebug, "serve", "campaign admitted",
+            obs::f("campaign", queued.job.id),
+            obs::f("rehydrated", queued.has_checkpoint),
+            obs::f("resident", residents.size() + 1),
+            obs::f("resident_bytes", resident_bytes));
+    residents.push_back(std::move(resident));
+    stats.peak_resident = std::max(stats.peak_resident, residents.size());
+    return residents.back().get();
+  }
+
+  /// Plans the resident's next step (or record wave) and deals its blocks.
+  /// Returns false when no work remains: the caller then retires it as
+  /// finished. Caller holds `mutex`.
+  bool plan_next_locked(Resident& resident) {
     const CampaignJob& job = jobs[resident.job_index].job;
     attack::TraceCampaign& campaign = resident.world->campaign();
 
     if (resident.is_record) {
       const RecordJobSpec& spec = *job.record;
       const std::size_t remaining = spec.traces - resident.record_done;
-      if (remaining == 0) {
-        resident.writer->finish();
-        outcomes[resident.job_index].traces_recorded = resident.record_done;
-        job_states[resident.job_index] = CampaignState::kFinished;
-        ++stats.campaigns_completed;
-        OBS_LOG(obs::LogLevel::kDebug, "serve", "record job finished",
-                obs::f("campaign", job.id),
-                obs::f("traces", resident.record_done));
-        release_locked(resident);
-        return;
-      }
+      if (remaining == 0) return false;
       const std::size_t block = std::max<std::size_t>(spec.block_traces, 1);
       const std::size_t wave_blocks =
           spec.wave_blocks != 0 ? spec.wave_blocks : 4 * pool_size;
@@ -294,74 +342,116 @@ struct CampaignService::Impl {
       resident.wave_plaintexts = campaign.next_plaintexts(resident.cursor, count);
       resident.wave_shards.assign((count + block - 1) / block, {});
       push_blocks_locked(resident, resident.wave_shards.size());
-      return;
+      return true;
     }
 
-    if (resident.task->completed()) {
-      // A rehydrated checkpoint of an already-finished campaign.
-      finish_campaign_locked(resident);
-      return;
-    }
+    // A rehydrated checkpoint of an already-finished campaign has no step.
+    if (resident.task->completed()) return false;
     resident.plan.emplace(
         campaign.plan_step(*resident.task, job.stop_when_broken));
     if (resident.plan->empty()) {
-      finish_campaign_locked(resident);
-      return;
+      resident.plan.reset();
+      return false;
     }
     push_blocks_locked(resident, resident.plan->block_count());
+    return true;
   }
 
-  /// Takes the final result and retires the resident. Caller holds `mutex`.
-  void finish_campaign_locked(Resident& resident) {
-    attack::TraceCampaign& campaign = resident.world->campaign();
-    CampaignOutcome& outcome = outcomes[resident.job_index];
-    outcome.result = campaign.take_result(std::move(*resident.task));
-    resident.task.reset();
-    job_states[resident.job_index] = CampaignState::kFinished;
-    ++stats.campaigns_completed;
-    OBS_LOG(obs::LogLevel::kDebug, "serve", "campaign finished",
-            obs::f("campaign", outcome.id),
-            obs::f("traces", outcome.result.traces_run),
-            obs::f("broken", outcome.result.broken),
-            obs::f("evictions", outcome.evictions));
-    release_locked(resident);
-  }
-
-  /// Drops a resident (finished or evicted), frees its budget share, and
-  /// admits successors. Caller holds `mutex`.
-  void release_locked(Resident& resident) {
-    CampaignOutcome& outcome = outcomes[resident.job_index];
-    outcome.worker_mask |=
-        resident.worker_mask.load(std::memory_order_relaxed);
-    const bool finished_job = !jobs_still_pending(resident.job_index);
-    resident_bytes -= resident.task_bytes;
-    for (auto it = residents.begin(); it != residents.end(); ++it) {
-      if (it->get() == &resident) {
-        residents.erase(it);
-        break;
+  /// Retires a resident that has no blocks in flight: takes its result (or
+  /// suspends it into its durable checkpoint), destroys its world, and only
+  /// then frees its slot — so an evicted job re-enters the queue with its
+  /// checkpoint on disk. The I/O and the teardown run without the lock. A
+  /// release may install parked worlds; one of them with no work left is
+  /// retired in turn.
+  void retire(Resident& first, Exit first_exit) {
+    Resident* resident = &first;
+    Exit exit = first_exit;
+    while (resident != nullptr) {
+      const CampaignJob& job = jobs[resident->job_index].job;
+      (void)job;  // only feeds logs/metrics, which may compile away
+      attack::TraceCampaign& campaign = resident->world->campaign();
+      attack::CampaignResult result;
+      std::size_t traces_done = 0;
+      if (resident->is_record) {
+        resident->writer->finish();
+        resident->writer.reset();
+        traces_done = resident->record_done;
+      } else {
+        traces_done = resident->task->traces_done();
+        if (exit == Exit::kEvicted) {
+          campaign.suspend(*resident->task);
+        } else {
+          result = campaign.take_result(std::move(*resident->task));
+        }
+        resident->task.reset();
       }
-    }
-    if (finished_job) {
-      jobs_done.fetch_add(1, std::memory_order_acq_rel);
-    }
-    admit_locked();
-    bump_epoch();  // wake parked workers: new blocks, or termination
-  }
+      resident->world.reset();
 
-  /// True when `job_index` re-entered the pending queue (eviction path).
-  bool jobs_still_pending(std::size_t job_index) const {
-    return std::find(pending.begin(), pending.end(), job_index) !=
-           pending.end();
+      Resident* next = nullptr;
+      {
+        std::lock_guard<std::mutex> lock(mutex);
+        const std::size_t job_index = resident->job_index;
+        CampaignOutcome& outcome = outcomes[job_index];
+        outcome.worker_mask |=
+            resident->worker_mask.load(std::memory_order_relaxed);
+        if (exit == Exit::kEvicted) {
+          jobs[job_index].has_checkpoint = true;
+          job_states[job_index] = CampaignState::kEvicted;
+          ++stats.evictions;
+          ++outcome.evictions;
+          OBS_COUNT("serve.evictions", 1);
+#if defined(LEAKYDSP_OBS)
+          obs::Registry::global().add(obs::Registry::global().labeled_counter(
+              "serve.campaign.evictions", job.id));
+#endif
+          OBS_LOG(obs::LogLevel::kDebug, "serve", "campaign evicted",
+                  obs::f("campaign", job.id), obs::f("traces", traces_done),
+                  obs::f("steps_this_turn", resident->steps_this_turn));
+          pending.push_back(job_index);
+        } else {
+          if (resident->is_record) {
+            outcome.traces_recorded = traces_done;
+          } else {
+            outcome.result = std::move(result);
+          }
+          job_states[job_index] = CampaignState::kFinished;
+          ++stats.campaigns_completed;
+          OBS_LOG(obs::LogLevel::kDebug, "serve", "campaign finished",
+                  obs::f("campaign", job.id), obs::f("traces", traces_done),
+                  obs::f("broken", outcome.result.broken),
+                  obs::f("evictions", outcome.evictions));
+          jobs_done.fetch_add(1, std::memory_order_acq_rel);
+        }
+        resident_bytes -= resident->task_bytes;
+        for (auto it = residents.begin(); it != residents.end(); ++it) {
+          if (it->get() == resident) {
+            residents.erase(it);
+            break;
+          }
+        }
+        // Parked worlds are the head of the queue: they install before any
+        // new reservation, in order, until the budget refuses one.
+        while (next == nullptr && !parked.empty()) {
+          Resident* installed = install_locked(parked.front());
+          if (installed == nullptr) break;
+          parked.pop_front();
+          if (!plan_next_locked(*installed)) next = installed;
+        }
+        publish_stats_locked();
+      }
+      bump_epoch();  // wake parked workers: a free slot, or termination
+      resident = next;
+      exit = Exit::kFinished;
+    }
   }
 
   /// Folds a completed step (last block just ran) back into the task and
   /// decides what happens next: another step, eviction, or completion.
+  /// The worker that ran the plan's last block owns the task, plan and
+  /// wave state until the next plan is dealt, so the merge runs unlocked.
   void complete_step(Resident& resident) {
-    std::lock_guard<std::mutex> lock(mutex);
     const CampaignJob& job = jobs[resident.job_index].job;
     (void)job;  // only feeds logs/metrics, which may compile away
-    attack::TraceCampaign& campaign = resident.world->campaign();
-    CampaignOutcome& outcome = outcomes[resident.job_index];
 
     bool more = true;
     if (resident.is_record) {
@@ -377,60 +467,46 @@ struct CampaignService::Impl {
       resident.wave_shards.clear();
       resident.wave_plaintexts.clear();
     } else {
-      more = campaign.finish_step(*resident.task, std::move(*resident.plan));
+      more = resident.world->campaign().finish_step(*resident.task,
+                                                    std::move(*resident.plan));
       resident.plan.reset();
     }
 
-    ++stats.steps_completed;
-    ++outcome.steps;
-    ++resident.steps_this_turn;
-    if (resident.last_step_seq != 0) {
-      stats.max_step_gap = std::max(
-          stats.max_step_gap, stats.steps_completed - resident.last_step_seq);
-    }
-    resident.last_step_seq = stats.steps_completed;
-    job_traces[resident.job_index].first = resident.is_record
-                                               ? resident.record_done
-                                               : resident.task->traces_done();
-#if defined(LEAKYDSP_OBS)
-    obs::Registry::global().add(obs::Registry::global().labeled_counter(
-        "serve.campaign.steps", job.id));
-#endif
-    OBS_COUNT("serve.steps", 1);
-    publish_stats_locked();
-
-    if (!resident.is_record && !more) {
-      finish_campaign_locked(resident);
-      return;
-    }
-    // Fair sharing under queue pressure: after quantum_steps boundary
-    // steps, a resident attack campaign yields its slot — its task is
-    // suspended into the durable keyed checkpoint and the job re-enters
-    // the FIFO. Record jobs never evict (their writer only commits at the
-    // footer).
-    if (!resident.is_record && !pending.empty() &&
-        resident.steps_this_turn >= config.quantum_steps) {
-      const std::size_t traces_done = resident.task->traces_done();
-      campaign.suspend(*resident.task);
-      resident.task.reset();
-      jobs[resident.job_index].has_checkpoint = true;
-      job_states[resident.job_index] = CampaignState::kEvicted;
-      ++stats.evictions;
-      ++outcome.evictions;
-      OBS_COUNT("serve.evictions", 1);
+    Exit exit = Exit::kFinished;
+    {
+      std::lock_guard<std::mutex> lock(mutex);
+      CampaignOutcome& outcome = outcomes[resident.job_index];
+      ++stats.steps_completed;
+      ++outcome.steps;
+      ++resident.steps_this_turn;
+      if (resident.last_step_seq != 0) {
+        stats.max_step_gap = std::max(
+            stats.max_step_gap, stats.steps_completed - resident.last_step_seq);
+      }
+      resident.last_step_seq = stats.steps_completed;
+      job_traces[resident.job_index].first = resident.is_record
+                                                 ? resident.record_done
+                                                 : resident.task->traces_done();
 #if defined(LEAKYDSP_OBS)
       obs::Registry::global().add(obs::Registry::global().labeled_counter(
-          "serve.campaign.evictions", job.id));
+          "serve.campaign.steps", job.id));
 #endif
-      OBS_LOG(obs::LogLevel::kDebug, "serve", "campaign evicted",
-              obs::f("campaign", job.id),
-              obs::f("traces", traces_done),
-              obs::f("steps_this_turn", resident.steps_this_turn));
-      pending.push_back(resident.job_index);
-      release_locked(resident);
-      return;
+      OBS_COUNT("serve.steps", 1);
+      publish_stats_locked();
+
+      // Fair sharing under queue pressure: after quantum_steps boundary
+      // steps, a resident attack campaign yields its slot — its task is
+      // suspended into the durable keyed checkpoint and the job re-enters
+      // the FIFO. Record jobs never evict (their writer only commits at
+      // the footer).
+      if (more && !resident.is_record && waiting_locked() &&
+          resident.steps_this_turn >= config.quantum_steps) {
+        exit = Exit::kEvicted;
+      } else if (more && plan_next_locked(resident)) {
+        return;
+      }
     }
-    plan_next_locked(resident);
+    retire(resident, exit);
   }
 
   void execute(const BlockItem& item, std::size_t worker) {
@@ -468,26 +544,29 @@ struct CampaignService::Impl {
     bump_epoch();
   }
 
+  /// An idle worker builds before it runs blocks: world builds are the
+  /// long pole of a contended drain, and every worker may run one.
   void worker_loop(std::size_t worker) {
     while (!finished()) {
-      BlockItem item;
-      bool have = pop_local(worker, item);
-      if (!have && steal(worker, item)) {
-        have = true;
-        ++stats_blocks_stolen;
-        OBS_COUNT("serve.blocks.stolen", 1);
-      }
-      if (have) {
-        try {
-          execute(item, worker);
-        } catch (...) {
-          fail(std::current_exception());
-          return;
+      try {
+        if (try_admit()) continue;
+        BlockItem item;
+        bool have = pop_local(worker, item);
+        if (!have && steal(worker, item)) {
+          have = true;
+          ++stats_blocks_stolen;
+          OBS_COUNT("serve.blocks.stolen", 1);
         }
-        continue;
+        if (have) {
+          execute(item, worker);
+          continue;
+        }
+      } catch (...) {
+        fail(std::current_exception());
+        return;
       }
-      // Nothing runnable here: park until a push bumps the epoch (with a
-      // bounded wait as a lost-wakeup backstop).
+      // Nothing runnable here: park until a push or a release bumps the
+      // epoch (with a bounded wait as a lost-wakeup backstop).
       std::unique_lock<std::mutex> lock(cv_mutex);
       const std::uint64_t seen = epoch;
       if (finished()) return;
@@ -540,13 +619,16 @@ std::vector<CampaignOutcome> CampaignService::drain() {
              "(eviction suspends through durable checkpoints)");
 
   util::ThreadPool pool(impl.config.threads);
-  impl.pool_size = pool.size();
-  impl.deques.clear();
-  for (std::size_t w = 0; w < impl.pool_size; ++w) {
-    impl.deques.push_back(std::make_unique<Impl::WorkerDeque>());
-  }
-  for (std::size_t j = 0; j < impl.jobs.size(); ++j) {
-    impl.pending.push_back(j);
+  {
+    // A scrape may already be reading the tables.
+    std::lock_guard<std::mutex> lock(impl.mutex);
+    impl.pool_size = pool.size();
+    for (std::size_t w = 0; w < impl.pool_size; ++w) {
+      impl.deques.push_back(std::make_unique<Impl::WorkerDeque>());
+    }
+    for (std::size_t j = 0; j < impl.jobs.size(); ++j) {
+      impl.pending.push_back(j);
+    }
   }
   impl.last_progress_ns.store(now_ns(), std::memory_order_relaxed);
   impl.draining.store(true, std::memory_order_release);
@@ -556,10 +638,6 @@ std::vector<CampaignOutcome> CampaignService::drain() {
           obs::f("budget_bytes", impl.config.memory_budget_bytes));
   {
     OBS_SPAN("serve.drain");
-    {
-      std::lock_guard<std::mutex> lock(impl.mutex);
-      impl.admit_locked();
-    }
     pool.parallel_for(impl.pool_size,
                       [&](std::size_t w) { impl.worker_loop(w); });
   }
@@ -608,7 +686,8 @@ ServiceIntrospection CampaignService::introspect() const {
   view.jobs_total = impl.jobs.size();
   view.jobs_done = impl.jobs_done.load(std::memory_order_acquire);
   view.resident = impl.residents.size();
-  view.pending = impl.pending.size();
+  view.pending = impl.pending.size() + impl.parked.size();
+  view.building = impl.building;
   view.resident_bytes = impl.resident_bytes;
   for (const auto& dq : impl.deques) {
     std::lock_guard<std::mutex> dq_lock(dq->mutex);
@@ -654,6 +733,7 @@ std::string CampaignService::statusz_json() const {
   out << "    \"jobs_done\": " << view.jobs_done << ",\n";
   out << "    \"resident\": " << view.resident << ",\n";
   out << "    \"pending\": " << view.pending << ",\n";
+  out << "    \"building\": " << view.building << ",\n";
   out << "    \"resident_bytes\": " << view.resident_bytes << ",\n";
   out << "    \"worker_queue_depths\": [";
   for (std::size_t w = 0; w < view.worker_queue_depths.size(); ++w) {

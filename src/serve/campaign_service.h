@@ -14,14 +14,18 @@
 // count, schedule, or eviction pattern (pinned by tests/test_serve.cpp
 // and the serve.scheduled_vs_standalone differential oracle).
 //
-// Residency is bounded two ways: at most `max_resident` campaigns are
-// hydrated at once, and their summed approx_task_bytes() must fit
-// `memory_budget_bytes`. When queued campaigns are waiting, a resident
-// campaign is evicted after `quantum_steps` boundary steps: its Task is
-// suspended into the durable per-campaign checkpoint
-// ("campaign-<id>.ckpt" inside checkpoint_dir), its world is destroyed,
-// and it re-enters the FIFO queue to be rehydrated later — possibly on a
-// different worker — via TraceCampaign::load_task().
+// Residency is bounded two ways: at most `max_resident` worlds are alive
+// at once (resident, being built, or parked by the budget), and the
+// residents' summed approx_task_bytes() must fit `memory_budget_bytes`.
+// Admission runs in three phases: a worker reserves a slot under the
+// service mutex, builds the world and its task without it, and installs
+// the result under it again — so idle workers build worlds concurrently.
+// When queued campaigns are waiting, a resident campaign is evicted after
+// `quantum_steps` boundary steps: its Task is suspended into the durable
+// per-campaign checkpoint ("campaign-<id>.ckpt" inside checkpoint_dir),
+// its world is destroyed, and only then does it re-enter the FIFO queue
+// to be rehydrated later — possibly on a different worker — via
+// TraceCampaign::load_task().
 #pragma once
 
 #include <cstddef>
@@ -80,7 +84,10 @@ struct CampaignJob {
   /// Stable identity: keys the durable checkpoint file name and the
   /// per-campaign metric labels. Must be unique within a service.
   std::string id;
-  /// Deterministic world factory (see CampaignWorld).
+  /// Deterministic world factory (see CampaignWorld). The service calls
+  /// it without holding any lock, from whichever worker admits the job,
+  /// so factories of different jobs may run at the same time: a factory
+  /// may only share state that is immutable or internally synchronized.
   std::function<std::unique_ptr<CampaignWorld>()> make;
   bool stop_when_broken = true;
   /// Rehydrate from this job's existing durable checkpoint instead of
@@ -101,6 +108,8 @@ struct ServiceConfig {
   /// Admission budget over the residents' approx_task_bytes() (0 =
   /// unbounded). At least one campaign is always admitted regardless, so
   /// an oversized single campaign degrades to sequential, never deadlock.
+  /// A built world the budget refuses is parked, keeping its slot, and
+  /// installs on a later release without being rebuilt.
   std::size_t memory_budget_bytes = 0;
   /// Boundary steps a resident campaign runs per residency turn before it
   /// is evicted in favor of a queued one (only when campaigns are
@@ -172,7 +181,10 @@ struct ServiceIntrospection {
   std::size_t jobs_total = 0;
   std::size_t jobs_done = 0;
   std::size_t resident = 0;
+  /// Jobs waiting for a slot, including built worlds parked by the budget.
   std::size_t pending = 0;
+  /// Admissions whose world is being built right now.
+  std::size_t building = 0;
   std::size_t resident_bytes = 0;
   std::vector<std::size_t> worker_queue_depths;
   ServiceStats stats;                    ///< live (mid-drain) totals
@@ -180,7 +192,7 @@ struct ServiceIntrospection {
 };
 
 /// Stall probe for /healthz: how much work remains and how long ago the
-/// last block completed.
+/// last block or admission completed.
 struct HealthSnapshot {
   std::size_t jobs_remaining = 0;
   std::uint64_t ns_since_progress = 0;
@@ -221,8 +233,8 @@ class CampaignService {
   std::string statusz_json() const;
 
   /// Stall probe for /healthz. ns_since_progress is 0 until drain()
-  /// starts; afterwards it measures from the last completed block (or the
-  /// drain start while the first block is still running).
+  /// starts; afterwards it measures from the last completed block or
+  /// admission (or the drain start while the first world is being built).
   HealthSnapshot health() const;
 
  private:

@@ -41,7 +41,8 @@ struct StandardCampaignSpec {
 
 /// Builds the spec's world: Basys3 scenario, seed-derived key, calibrated
 /// rig, configured TraceCampaign. The returned world's rng() is in the
-/// exact state a standalone run() would receive.
+/// exact state a standalone run() would receive. Safe to call
+/// concurrently: the one shared Basys3 scenario is only read.
 std::unique_ptr<CampaignWorld> make_standard_world(
     const StandardCampaignSpec& spec);
 

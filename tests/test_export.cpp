@@ -254,8 +254,43 @@ TEST(ExportStatusz, GoldenRenderWithInjectedHost) {
   host.cxx_flags = "-O2";
   host.build_type = "Release";
 
-  const std::string text =
-      lo::render_statusz(host, reg.snapshot(), "{\"jobs_total\": 2}");
+  // The service fragment comes from a real, not yet drained service and
+  // is pinned whole.
+  ls::ServiceConfig config;
+  config.threads = 1;
+  ls::CampaignService service(config);
+  service.enqueue(ls::make_standard_job(scrape_spec("golden-a", 1)));
+  service.enqueue(ls::make_standard_job(scrape_spec("golden-b", 2)));
+  const std::string fragment = service.statusz_json();
+  const std::string campaign_tail =
+      "\", \"state\": \"queued\", \"record\": false, \"traces_done\": 0, "
+      "\"traces_total\": 0, \"steps\": 0, \"evictions\": 0, "
+      "\"step_gap\": 0, \"approx_bytes\": 0}";
+  EXPECT_EQ(fragment,
+            "{\n"
+            "    \"draining\": false,\n"
+            "    \"jobs_total\": 2,\n"
+            "    \"jobs_done\": 0,\n"
+            "    \"resident\": 0,\n"
+            "    \"pending\": 0,\n"
+            "    \"building\": 0,\n"
+            "    \"resident_bytes\": 0,\n"
+            "    \"worker_queue_depths\": [],\n"
+            "    \"stats\": {\"campaigns_completed\": 0, \"evictions\": 0, "
+            "\"rehydrations\": 0, \"steps_completed\": 0, \"blocks_run\": 0, "
+            "\"blocks_stolen\": 0, \"max_step_gap\": 0, \"peak_resident\": 0, "
+            "\"peak_resident_bytes\": 0},\n"
+            "    \"campaigns\": [\n"
+            "      {\"id\": \"golden-a" +
+                campaign_tail +
+                ",\n"
+                "      {\"id\": \"golden-b" +
+                campaign_tail +
+                "\n"
+                "    ]\n"
+                "  }");
+
+  const std::string text = lo::render_statusz(host, reg.snapshot(), fragment);
   const lu::JsonValue doc = lu::parse_json(text);
 
   EXPECT_EQ(doc.find("build")->find("compiler")->as_string(), "testcc 1.0");
@@ -275,6 +310,7 @@ TEST(ExportStatusz, GoldenRenderWithInjectedHost) {
   EXPECT_EQ(histogram->find("sum")->as_number(), 105.0);
   EXPECT_EQ(histogram->find("p50")->as_number(), 2.0);
   EXPECT_EQ(doc.find("service")->find("jobs_total")->as_number(), 2.0);
+  EXPECT_EQ(doc.find("service")->find("building")->as_number(), 0.0);
 
   // Without a service fragment the service field is null.
   const lu::JsonValue bare =

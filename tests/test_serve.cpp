@@ -6,12 +6,19 @@
 // "Campaign service").
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
+#include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <memory>
+#include <mutex>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "attack/campaign.h"
@@ -83,6 +90,79 @@ std::vector<char> file_bytes(const std::string& path) {
   EXPECT_TRUE(in.good()) << path;
   return {std::istreambuf_iterator<char>(in),
           std::istreambuf_iterator<char>()};
+}
+
+/// Instruments job factories: factory calls, builds in flight, and live
+/// worlds (a world is live from the start of its build until its
+/// destructor finishes). With `rendezvous` set, a build waits — bounded,
+/// and only until the first timeout — for a second build to be in flight,
+/// so overlapping builds become observable instead of racy.
+struct FactoryProbe {
+  std::mutex mutex;
+  std::condition_variable cv;
+  std::size_t calls = 0;
+  std::size_t in_flight = 0;
+  std::size_t peak_in_flight = 0;
+  std::size_t alive = 0;
+  std::size_t peak_alive = 0;
+  bool rendezvous = false;
+  bool gave_up = false;
+
+  void build_started() {
+    std::unique_lock<std::mutex> lock(mutex);
+    ++calls;
+    peak_in_flight = std::max(peak_in_flight, ++in_flight);
+    peak_alive = std::max(peak_alive, ++alive);
+    cv.notify_all();
+    if (rendezvous && !gave_up &&
+        !cv.wait_for(lock, std::chrono::seconds(2),
+                     [this] { return peak_in_flight >= 2; })) {
+      gave_up = true;
+    }
+  }
+  void build_finished() {
+    std::lock_guard<std::mutex> lock(mutex);
+    --in_flight;
+  }
+  void world_destroyed() {
+    std::lock_guard<std::mutex> lock(mutex);
+    --alive;
+  }
+};
+
+using WorldFactory = std::function<std::unique_ptr<ls::CampaignWorld>()>;
+
+/// Forwards to the world `make` builds, reporting its lifetime to a probe.
+class ProbedWorld final : public ls::CampaignWorld {
+ public:
+  ProbedWorld(const WorldFactory& make, FactoryProbe& probe) : probe_(probe) {
+    probe_.build_started();
+    try {
+      inner_ = make();
+    } catch (...) {
+      probe_.build_finished();
+      probe_.world_destroyed();
+      throw;
+    }
+    probe_.build_finished();
+  }
+  ~ProbedWorld() override {
+    inner_.reset();
+    probe_.world_destroyed();
+  }
+  la::TraceCampaign& campaign() override { return inner_->campaign(); }
+  lu::Rng& rng() override { return inner_->rng(); }
+
+ private:
+  FactoryProbe& probe_;
+  std::unique_ptr<ls::CampaignWorld> inner_;
+};
+
+ls::CampaignJob probed(ls::CampaignJob job, FactoryProbe& probe) {
+  job.make = [make = std::move(job.make), &probe] {
+    return std::make_unique<ProbedWorld>(make, probe);
+  };
+  return job;
 }
 
 }  // namespace
@@ -231,13 +311,19 @@ TEST(CampaignServiceTest, MemoryBudgetBoundsResidencyWithoutChangingResults) {
   // one even though three slots exist.
   config.memory_budget_bytes = task_bytes + task_bytes / 2;
   ls::CampaignService service(config);
+  FactoryProbe probe;
   for (const auto& spec : specs) {
-    service.enqueue(ls::make_standard_job(spec));
+    service.enqueue(probed(ls::make_standard_job(spec), probe));
   }
   const auto outcomes = service.drain();
   EXPECT_EQ(service.stats().peak_resident, 1u);
   EXPECT_LE(service.stats().peak_resident_bytes,
             config.memory_budget_bytes);
+  // A world the budget refuses waits, built, for the next release: every
+  // factory call is either a job's first admission or a rehydration.
+  EXPECT_EQ(probe.calls, specs.size() + service.stats().rehydrations)
+      << "a built world was thrown away and rebuilt";
+  EXPECT_LE(probe.peak_alive, config.max_resident);
   for (std::size_t i = 0; i < specs.size(); ++i) {
     EXPECT_TRUE(identical_results(outcomes[i].result,
                                   ls::run_standard_campaign(specs[i], 1)))
@@ -304,4 +390,138 @@ TEST(CampaignServiceTest, RejectsDuplicateIdsAndDoubleDrain) {
   overfull.enqueue(ls::make_standard_job(make_spec("x1", 1, "")));
   overfull.enqueue(ls::make_standard_job(make_spec("x2", 2, "")));
   EXPECT_THROW((void)overfull.drain(), lu::PreconditionError);
+}
+
+TEST(CampaignServiceTest, WorkersBuildWorldsConcurrently) {
+  const TempDir dir("overlap");
+  ls::ServiceConfig config;
+  config.threads = 4;
+  config.max_resident = 4;
+  config.quantum_steps = 1;
+  config.checkpoint_dir = dir.path();
+  ls::CampaignService service(config);
+  FactoryProbe probe;
+  probe.rendezvous = true;
+  std::vector<ls::StandardCampaignSpec> specs;
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    specs.push_back(
+        make_spec("b" + std::to_string(seed), seed * 13, dir.path()));
+    service.enqueue(probed(ls::make_standard_job(specs.back()), probe));
+  }
+  const auto outcomes = service.drain();
+  ASSERT_EQ(outcomes.size(), specs.size());
+  EXPECT_GE(probe.peak_in_flight, 2u) << "world builds never overlapped";
+  EXPECT_LE(probe.peak_in_flight, config.max_resident);
+  EXPECT_LE(probe.peak_alive, config.max_resident);
+  EXPECT_EQ(probe.alive, 0u);
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    EXPECT_TRUE(identical_results(outcomes[i].result,
+                                  ls::run_standard_campaign(specs[i], 1)))
+        << "concurrently built campaign diverged for " << specs[i].id;
+  }
+}
+
+TEST(CampaignServiceTest, LiveWorldsNeverExceedMaxResident) {
+  const TempDir dir("alive");
+  ls::ServiceConfig config;
+  config.threads = 4;
+  config.max_resident = 2;  // 4 workers racing for 2 slots
+  config.quantum_steps = 1;
+  config.checkpoint_dir = dir.path();
+  ls::CampaignService service(config);
+  FactoryProbe probe;
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    service.enqueue(probed(
+        ls::make_standard_job(
+            make_spec("w" + std::to_string(seed), seed * 29, dir.path())),
+        probe));
+  }
+  (void)service.drain();
+  EXPECT_GT(service.stats().evictions, 0u);
+  EXPECT_EQ(probe.calls, 6u + service.stats().rehydrations);
+  // Building, resident, suspending and parked worlds all hold a slot.
+  EXPECT_LE(probe.peak_alive, config.max_resident);
+  EXPECT_EQ(probe.alive, 0u);
+}
+
+TEST(CampaignServiceTest, ThrowingFactoryAbortsDrainWhileOthersBuild) {
+  const TempDir dir("poison");
+  ls::ServiceConfig config;
+  config.threads = 4;
+  config.max_resident = 2;
+  config.quantum_steps = 1;
+  config.checkpoint_dir = dir.path();
+  FactoryProbe probe;
+  probe.rendezvous = true;  // the poison throws while a sibling builds
+  {
+    ls::CampaignService service(config);
+    service.enqueue(
+        probed(ls::make_standard_job(make_spec("p1", 3, dir.path())), probe));
+    ls::CampaignJob poison;
+    poison.id = "poison";
+    poison.make = []() -> std::unique_ptr<ls::CampaignWorld> {
+      throw std::runtime_error("poisoned factory");
+    };
+    service.enqueue(probed(std::move(poison), probe));
+    for (std::uint64_t seed = 4; seed <= 5; ++seed) {
+      service.enqueue(probed(
+          ls::make_standard_job(
+              make_spec("p" + std::to_string(seed), seed, dir.path())),
+          probe));
+    }
+    try {
+      (void)service.drain();
+      ADD_FAILURE() << "drain survived a throwing factory";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "poisoned factory");
+    }
+    EXPECT_GE(probe.peak_in_flight, 2u);
+    EXPECT_LE(probe.peak_alive, config.max_resident);
+  }
+  EXPECT_EQ(probe.alive, 0u) << "a world outlived its service";
+}
+
+TEST(CampaignServiceTest, IntrospectionShowsBuildsInFlight) {
+  ls::ServiceConfig config;
+  config.threads = 2;
+  config.max_resident = 1;
+  ls::CampaignService service(config);
+  std::mutex mutex;
+  std::condition_variable cv;
+  bool building = false;
+  bool release = false;
+  ls::CampaignJob job = ls::make_standard_job(make_spec("slow", 8, ""));
+  job.make = [make = std::move(job.make), &mutex, &cv, &building, &release] {
+    {
+      std::unique_lock<std::mutex> lock(mutex);
+      building = true;
+      cv.notify_all();
+      cv.wait_for(lock, std::chrono::seconds(5), [&] { return release; });
+    }
+    return make();
+  };
+  service.enqueue(std::move(job));
+
+  std::vector<ls::CampaignOutcome> outcomes;
+  std::thread drainer([&] { outcomes = service.drain(); });
+  {
+    std::unique_lock<std::mutex> lock(mutex);
+    cv.wait_for(lock, std::chrono::seconds(5), [&] { return building; });
+  }
+  // The factory runs outside the service lock: introspection answers
+  // while the world is still being built.
+  const ls::ServiceIntrospection view = service.introspect();
+  EXPECT_EQ(view.building, 1u);
+  EXPECT_EQ(view.pending, 0u);
+  EXPECT_EQ(view.resident, 0u);
+  EXPECT_NE(service.statusz_json().find("\"building\": 1,"),
+            std::string::npos);
+  {
+    std::lock_guard<std::mutex> lock(mutex);
+    release = true;
+  }
+  cv.notify_all();
+  drainer.join();
+  ASSERT_EQ(outcomes.size(), 1u);
+  EXPECT_EQ(service.introspect().building, 0u);
 }
