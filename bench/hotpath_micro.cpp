@@ -5,6 +5,8 @@
 //   stages       — binary-search stages_within vs the O(1) uniform fast path
 //   gaussian     — Box–Muller gaussian() vs the ziggurat gaussian_zig()
 //   sample       — LeakyDSP / TDC scalar sample() loop vs sample_batch()
+//   calibrate    — LeakyDSP calibration on the per-bit reference loop vs
+//                  calibrate(), which skips out-of-reach jitter
 //   cpa          — CpaAttack add_trace loop vs batched GEMM vs kSimd kernel
 //
 //   $ ./hotpath_micro [--quick]
@@ -29,6 +31,7 @@
 #include "util/cli.h"
 #include "util/rng.h"
 #include "util/table.h"
+#include "verify/leakydsp_reference.h"
 
 using namespace leakydsp;
 
@@ -183,6 +186,31 @@ int run(int argc, char** argv) {
       return n * supplies.size();
     });
     record("leakydsp_sample", "scalar_loop", scalar, "sample_batch", batch);
+  }
+  {
+    // The world-build calibration: 69 settings x 256 readouts at idle.
+    // Both variants run the same sweep from the same rng state and end
+    // bit-identical; ops are whole calibrations.
+    constexpr std::size_t kSamplesPerSetting = 256;
+    core::LeakyDspSensor sensor(scenario.device(), scenario.fig3_dsp_site());
+    util::Rng rng_a(11);
+    util::Rng rng_b(11);
+    const auto reference = run_bench(2 * kScale, [&](std::size_t n) {
+      for (std::size_t r = 0; r < n; ++r) {
+        g_sink = verify::reference_leakydsp_calibrate(sensor, 1.0, rng_a,
+                                                      kSamplesPerSetting)
+                     .idle_readout;
+      }
+      return n;
+    });
+    const auto fast = run_bench(2 * kScale, [&](std::size_t n) {
+      for (std::size_t r = 0; r < n; ++r) {
+        g_sink = sensor.calibrate(1.0, rng_b, kSamplesPerSetting).idle_readout;
+      }
+      return n;
+    });
+    record("leakydsp_calibrate", "reference_loop", reference,
+           "skip_unreachable", fast);
   }
   {
     sensors::TdcSensor sensor(scenario.device(), scenario.fig3_clb_site());

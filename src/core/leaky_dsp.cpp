@@ -103,18 +103,42 @@ double LeakyDspSensor::bit_settle_ns(std::size_t i) const {
 }
 
 double LeakyDspSensor::sample(double supply_v, util::Rng& rng) {
-  const double scale = params_.law.scale(supply_v);
-  const double t_capture = sampling_time_ns();
-  double settled = 0.0;
-  for (std::size_t i = 0; i < kOutputBits; ++i) {
-    const double t = settle_ns_[i] * scale +
-                     (params_.jitter_sigma_ns > 0.0
-                          ? rng.gaussian(0.0, params_.jitter_sigma_ns)
-                          : 0.0);
-    if (t <= t_capture) settled += 1.0;
+  return readout(params_.law.scale(supply_v), sampling_time_ns(), rng);
+}
+
+double LeakyDspSensor::readout(double scale, double t_capture,
+                               util::Rng& rng) {
+  const bool jittered = params_.jitter_sigma_ns > 0.0;
+  const double sigma = jittered ? params_.jitter_sigma_ns : 0.0;
+  // Each jitter is sigma * z with |z| < kGaussianBound, so it lies within
+  // +-reach, and fl(a + j) is monotone in j: bit i settles for every draw
+  // if fl(a_i + reach) <= t_capture, and for none if fl(a_i - reach) >
+  // t_capture. For scale >= 0, a_i = settle_ns_[i] * scale is
+  // non-decreasing in i, so the always-settling bits are a prefix
+  // [0, lo) and the never-settling ones a suffix [hi, 48).
+  const double reach = sigma * util::Rng::kGaussianBound;
+  const double* const first = settle_ns_.data();
+  const double* const last = first + kOutputBits;
+  const double* lo = first;
+  const double* hi = last;
+  if (scale >= 0.0) {
+    lo = std::partition_point(first, last, [&](double settle) {
+      return settle * scale + reach <= t_capture;
+    });
+    hi = std::partition_point(lo, last, [&](double settle) {
+      return settle * scale - reach <= t_capture;
+    });
   }
+  std::size_t settled = static_cast<std::size_t>(lo - first);
+  if (jittered) rng.skip_gaussians(settled);
+  for (const double* bit = lo; bit < hi; ++bit) {
+    const double t =
+        *bit * scale + (jittered ? rng.gaussian(0.0, sigma) : 0.0);
+    if (t <= t_capture) ++settled;
+  }
+  if (jittered) rng.skip_gaussians(static_cast<std::size_t>(last - hi));
   input_phase_ = !input_phase_;
-  return settled;
+  return static_cast<double>(settled);
 }
 
 void LeakyDspSensor::sample_batch(std::span<const double> supply_v,
@@ -208,15 +232,21 @@ sensors::CalibrationResult LeakyDspSensor::calibrate(
     }
   };
 
+  // Every readout of the sweep is at idle_v: one std::pow for all of them.
+  const double scale = params_.law.scale(idle_v);
+  const auto mean_readout = [&] {
+    const double t_capture = sampling_time_ns();
+    double sum = 0.0;
+    for (std::size_t s = 0; s < samples_per_setting; ++s) {
+      sum += readout(scale, t_capture, rng);
+    }
+    return sum / static_cast<double>(samples_per_setting);
+  };
+
   std::vector<double> mean(static_cast<std::size_t>(settings), 0.0);
   for (int k = 0; k < settings; ++k) {
     apply(k);
-    double sum = 0.0;
-    for (std::size_t s = 0; s < samples_per_setting; ++s) {
-      sum += sample(idle_v, rng);
-    }
-    mean[static_cast<std::size_t>(k)] =
-        sum / static_cast<double>(samples_per_setting);
+    mean[static_cast<std::size_t>(k)] = mean_readout();
   }
 
   // The paper's rule: iteratively increase the delay until the readout
@@ -255,11 +285,7 @@ sensors::CalibrationResult LeakyDspSensor::calibrate(
   double best_mean = 0.0;
   for (int phase = 0; phase <= 5; ++phase) {
     set_fine_phase(phase);
-    double sum = 0.0;
-    for (std::size_t s = 0; s < samples_per_setting; ++s) {
-      sum += sample(idle_v, rng);
-    }
-    const double m = sum / static_cast<double>(samples_per_setting);
+    const double m = mean_readout();
     const double dist = std::abs(m - target);
     if (dist < best_dist) {
       best_dist = dist;

@@ -61,6 +61,7 @@ class LeakyDspSensor : public sensors::VoltageSensor {
   std::size_t readout_bits() const override { return kOutputBits; }
 
   const LeakyDspParams& params() const { return params_; }
+  fabric::Architecture architecture() const { return arch_; }
   double clock_period_ns() const { return 1e3 / params_.clock_mhz; }
 
   /// Current IDELAY settings (signal line, capture-clock line).
@@ -82,6 +83,8 @@ class LeakyDspSensor : public sensors::VoltageSensor {
   double bit_settle_ns(std::size_t i) const;
 
   /// One readout at supply `supply_v`: number of unflipped output bits.
+  /// Draws one jitter gaussian per bit, but evaluates only those of the
+  /// bits within reach of the capture edge (see readout()).
   double sample(double supply_v, util::Rng& rng) override;
 
   /// Batched readouts through the hot-path kernel: per sample, the voltage
@@ -126,6 +129,15 @@ class LeakyDspSensor : public sensors::VoltageSensor {
 
  private:
   static constexpr std::size_t kOutputBits = 48;
+
+  /// The per-bit readout kernel of sample() and calibrate(), given the
+  /// voltage scale and capture instant. Bit i settles iff
+  /// settle_ns_[i] * scale + jitter_i <= t_capture, with one Box–Muller
+  /// jitter per bit in bit order. Bits whose outcome no jitter within
+  /// Rng::kGaussianBound sigmas can flip skip their gaussian's
+  /// transcendentals; readout and rng state match the plain per-bit loop
+  /// bit for bit.
+  double readout(double scale, double t_capture, util::Rng& rng);
 
   fabric::Architecture arch_;
   fabric::SiteCoord site_;

@@ -1,5 +1,6 @@
 #include "sim/sensor_rig.h"
 
+#include "obs/span.h"
 #include "util/contracts.h"
 
 namespace leakydsp::sim {
@@ -51,6 +52,7 @@ std::vector<double> SensorRig::collect_constant(
 }
 
 sensors::CalibrationResult SensorRig::calibrate(util::Rng& rng) {
+  OBS_SPAN("sensor.calibrate");
   settle();
   // 256 samples per setting: enough averaging that the coarse-tap choice is
   // stable against ambient noise (a mis-parked capture edge costs up to

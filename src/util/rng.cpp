@@ -93,21 +93,49 @@ std::uint64_t Rng::uniform_u64(std::uint64_t n) {
   }
 }
 
-double Rng::gaussian() {
-  if (has_cached_gaussian_) {
-    has_cached_gaussian_ = false;
-    return cached_gaussian_;
-  }
+std::array<double, 2> Rng::box_muller_uniforms() {
   double u1 = 0.0;
   do {
     u1 = uniform();
   } while (u1 <= 0.0);
-  const double u2 = uniform();
+  return {u1, uniform()};
+}
+
+double Rng::spare() const {
+  if (!spare_deferred_) return cached_gaussian_;
+  const double radius = std::sqrt(-2.0 * std::log(deferred_u_[0]));
+  const double angle = 2.0 * std::numbers::pi * deferred_u_[1];
+  return radius * std::sin(angle);
+}
+
+double Rng::gaussian() {
+  if (has_cached_gaussian_) {
+    has_cached_gaussian_ = false;
+    return spare();
+  }
+  const auto [u1, u2] = box_muller_uniforms();
   const double radius = std::sqrt(-2.0 * std::log(u1));
   const double angle = 2.0 * std::numbers::pi * u2;
   cached_gaussian_ = radius * std::sin(angle);
+  spare_deferred_ = false;
   has_cached_gaussian_ = true;
   return radius * std::cos(angle);
+}
+
+void Rng::skip_gaussians(std::size_t n) {
+  if (n == 0) return;
+  if (has_cached_gaussian_) {
+    has_cached_gaussian_ = false;
+    --n;
+  }
+  // The remaining skips consume ceil(n / 2) fresh pairs. Only the last
+  // pair's uniforms matter: they define the spare, which gaussian()
+  // returns next iff n is odd.
+  const std::size_t pairs = (n + 1) / 2;
+  if (pairs == 0) return;
+  for (std::size_t p = 0; p < pairs; ++p) deferred_u_ = box_muller_uniforms();
+  spare_deferred_ = true;
+  has_cached_gaussian_ = n % 2 == 1;
 }
 
 double Rng::gaussian(double mean, double stddev) {
@@ -218,7 +246,7 @@ void Rng::fill_bytes(std::vector<std::uint8_t>& out) {
 
 std::array<std::uint64_t, 6> Rng::serialize() const {
   return {state_[0], state_[1], state_[2], state_[3],
-          std::bit_cast<std::uint64_t>(cached_gaussian_),
+          std::bit_cast<std::uint64_t>(spare()),
           has_cached_gaussian_ ? 1ULL : 0ULL};
 }
 

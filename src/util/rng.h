@@ -48,6 +48,19 @@ class Rng {
   /// Standard normal via Box–Muller (cached second variate).
   double gaussian();
 
+  /// Bound on |gaussian()|. The Box–Muller radius sqrt(-2 ln u1) peaks at
+  /// the smallest u1 the u1 > 0 rejection lets through, 2^-53, where it is
+  /// sqrt(106 ln 2) ~ 8.5716; |cos| and |sin| never exceed 1. Jitter
+  /// farther than kGaussianBound standard deviations cannot occur.
+  static constexpr double kGaussianBound = 8.6;
+
+  /// Advances the generator exactly as `n` calls to gaussian() would: the
+  /// same raw draws (the u1 > 0 rejection included), the same draws()
+  /// count, future stream and serialize() words. The skipped variates are
+  /// never evaluated; the Box–Muller spare of the last pair drawn stays
+  /// deferred as its (u1, u2) until gaussian() or serialize() needs it.
+  void skip_gaussians(std::size_t n);
+
   /// Normal with the given mean and standard deviation.
   double gaussian(double mean, double stddev);
 
@@ -84,17 +97,30 @@ class Rng {
   Rng fork(std::uint64_t stream_index) const;
 
   /// Opaque serialized state: the four xoshiro words plus the Box–Muller
-  /// cache. deserialize() reconstructs a generator whose entire future
-  /// stream is bit-identical to this one's — the campaign checkpoint
-  /// format stores exactly this to make resumed runs reproducible.
+  /// spare (its value and whether gaussian() returns it next).
+  /// deserialize() reconstructs a generator whose entire future stream is
+  /// bit-identical to this one's — the campaign checkpoint format stores
+  /// exactly this to make resumed runs reproducible.
   std::array<std::uint64_t, 6> serialize() const;
   static Rng deserialize(const std::array<std::uint64_t, 6>& words);
 
  private:
+  /// Draws one Box–Muller uniform pair: u1 in (0, 1) by rejection, then u2.
+  std::array<double, 2> box_muller_uniforms();
+  /// The spare's value, evaluating a deferred pair if need be.
+  double spare() const;
+
   std::array<std::uint64_t, 4> state_{};
-  double cached_gaussian_ = 0.0;
-  bool has_cached_gaussian_ = false;
   std::uint64_t draws_ = 0;
+  // Box–Muller spare: the sine variate of the last pair drawn. It keeps its
+  // value after gaussian() returns it (serialize() writes it either way);
+  // has_cached_gaussian_ says whether gaussian() returns it next. When
+  // spare_deferred_ is set the value is not computed yet and lives in
+  // deferred_u_ as the pair's uniforms.
+  double cached_gaussian_ = 0.0;
+  std::array<double, 2> deferred_u_{};
+  bool has_cached_gaussian_ = false;
+  bool spare_deferred_ = false;
 };
 
 }  // namespace leakydsp::util

@@ -440,15 +440,18 @@ TEST(ObsCampaign, SpansCoverTheMajorPhases) {
   run_campaign(2);
   lo::SpanSink::global().disable();
   const auto events = lo::SpanSink::global().events();
+  bool calibrate = false;
   bool supply = false;
   bool sample = false;
   bool cpa = false;
   for (const auto& e : events) {
     const std::string name = e.name;
+    calibrate = calibrate || name == "sensor.calibrate";
     supply = supply || name == "pdn.supply_solve";
     sample = sample || name == "sensor.sample";
     cpa = cpa || name == "cpa.accumulate";
   }
+  EXPECT_TRUE(calibrate);
   EXPECT_TRUE(supply);
   EXPECT_TRUE(sample);
   EXPECT_TRUE(cpa);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
@@ -170,6 +171,83 @@ TEST(Rng, SerializeRoundTripContinuesStreamExactly) {
     ASSERT_EQ(copy(), rng());
     ASSERT_EQ(copy.gaussian(), rng.gaussian());
   }
+}
+
+TEST(Rng, GaussianBoundCoversTheLargestBoxMullerRadius) {
+  // uniform() > 0 is at least 2^-53, so the radius never exceeds this.
+  EXPECT_LT(std::sqrt(-2.0 * std::log(0x1.0p-53)), lu::Rng::kGaussianBound);
+  EXPECT_GT(std::sqrt(-2.0 * std::log(0x1.0p-53)), 8.57);
+}
+
+namespace {
+
+/// `skipped` has skipped n gaussians where `called` called gaussian() n
+/// times; both must be indistinguishable from now on.
+void expect_same_generator(const lu::Rng& skipped, const lu::Rng& called) {
+  EXPECT_EQ(skipped.serialize(), called.serialize());
+  EXPECT_EQ(skipped.draws(), called.draws());
+}
+
+void expect_same_future(lu::Rng skipped, lu::Rng called) {
+  for (int i = 0; i < 9; ++i) {
+    ASSERT_EQ(skipped.gaussian(), called.gaussian());
+    ASSERT_EQ(skipped(), called());
+  }
+  expect_same_generator(skipped, called);
+}
+
+}  // namespace
+
+TEST(Rng, SkipGaussiansMatchesCallingGaussian) {
+  lu::Rng script(2024);
+  for (int start_live = 0; start_live < 2; ++start_live) {
+    lu::Rng skipped(31 + static_cast<std::uint64_t>(start_live));
+    if (start_live != 0) (void)skipped.gaussian();
+    lu::Rng called = skipped;
+    for (int op = 0; op < 400; ++op) {
+      if (script.bernoulli(0.3)) {
+        ASSERT_EQ(skipped.gaussian(), called.gaussian()) << "op " << op;
+      } else {
+        const std::size_t n = script.uniform_u64(8);
+        skipped.skip_gaussians(n);
+        for (std::size_t i = 0; i < n; ++i) (void)called.gaussian();
+      }
+      expect_same_generator(skipped, called);
+    }
+    expect_same_future(skipped, called);
+  }
+}
+
+TEST(Rng, SkipGaussiansOddAndEvenFromEitherSpareParity) {
+  for (const std::size_t n : {1u, 2u, 3u, 4u, 47u, 48u}) {
+    for (int live = 0; live < 2; ++live) {
+      lu::Rng skipped(5);
+      if (live != 0) (void)skipped.gaussian();
+      lu::Rng called = skipped;
+      skipped.skip_gaussians(n);
+      for (std::size_t i = 0; i < n; ++i) (void)called.gaussian();
+      expect_same_generator(skipped, called);
+      expect_same_future(skipped, called);
+    }
+  }
+}
+
+TEST(Rng, PendingSpareSurvivesCopyForkAndDeserialize) {
+  lu::Rng skipped(88);
+  lu::Rng called(88);
+  skipped.skip_gaussians(5);  // three fresh pairs: the last spare is live
+  for (int i = 0; i < 5; ++i) (void)called.gaussian();
+  expect_same_future(lu::Rng(skipped), called);
+  expect_same_future(skipped.fork(3), called.fork(3));
+  expect_same_future(lu::Rng::deserialize(skipped.serialize()),
+                     lu::Rng::deserialize(called.serialize()));
+  // deserialize() restarts draws() at 0 on both sides alike.
+  lu::Rng restored = lu::Rng::deserialize(skipped.serialize());
+  lu::Rng restored_ref = lu::Rng::deserialize(called.serialize());
+  restored.skip_gaussians(2);
+  (void)restored_ref.gaussian();
+  (void)restored_ref.gaussian();
+  expect_same_future(restored, restored_ref);
 }
 
 TEST(BitVec, ConstructAndTest) {

@@ -114,7 +114,8 @@ TEST(OracleRegistry, CoversEveryOptimizedReferencePair) {
   // break: every optimized path in the codebase must keep its oracle.
   for (const char* required :
        {"timing.scale_table_vs_pow", "timing.stages_within_scaled_vs_scan",
-        "sensors.leakydsp_batch_vs_scalar", "sensors.tdc_batch_vs_scalar",
+        "sensors.leakydsp_batch_vs_scalar",
+        "sensors.leakydsp_scalar_vs_reference", "sensors.tdc_batch_vs_scalar",
         "store.v2_roundtrip_vs_memory", "attack.cpa_simd_vs_gemm",
         "attack.campaign_parallel_vs_serial",
         "attack.campaign_resume_vs_straight", "fabric.spec_invariants",
