@@ -1,6 +1,10 @@
 #include "verify/golden_corpus.h"
 
+#include <unistd.h>
+
 #include <cstdint>
+#include <filesystem>
+#include <string>
 #include <vector>
 
 #include "attack/campaign.h"
@@ -12,6 +16,7 @@
 #include "sensors/tdc.h"
 #include "sim/scenarios.h"
 #include "sim/sensor_rig.h"
+#include "sim/trace_store.h"
 #include "util/rng.h"
 #include "victim/aes_core.h"
 
@@ -44,7 +49,8 @@ GoldenFile sensor_corpus(const sim::Basys3Scenario& scenario) {
   GoldenFile golden;
 
   // One full-pipeline LeakyDSP trace: victim AES encryption -> PDN droop
-  // -> supply -> batched sensor readouts, exactly the campaign hot path.
+  // -> supply -> sensor readouts through generate_trace, the serial scalar
+  // rig path (the campaign's batched path is pinned by campaign.ldgc).
   {
     util::Rng rng(kCorpusSeed);
     crypto::Key key;
@@ -178,6 +184,36 @@ GoldenFile campaign_corpus(const sim::Basys3Scenario& scenario) {
   golden.entries.push_back(
       within("campaign.checkpoint.rank_log2_upper", 1e-6, 0.0,
              std::move(upper)));
+
+  // The record path through the same campaign: 130 full traces streamed
+  // into a v2 file (two 64-trace blocks and a ragged 2-trace one), read
+  // back and pinned sample for sample with their ciphertexts.
+  {
+    constexpr std::size_t kRecordTraces = 130;
+    util::Rng record_rng(kCorpusSeed ^ 0x7ECull);
+    const std::string path =
+        (std::filesystem::temp_directory_path() /
+         ("leakydsp-golden-" + std::to_string(::getpid()) + ".ldtr"))
+            .string();
+    {
+      sim::TraceStoreWriter writer(path, campaign.trace_samples());
+      campaign.record(record_rng, kRecordTraces, writer);
+      writer.finish();
+    }
+    std::vector<double> samples, ciphertexts;
+    sim::TraceStoreReader reader(path);
+    sim::StoredTrace rec;
+    while (reader.next(rec)) {
+      samples.insert(samples.end(), rec.samples.begin(), rec.samples.end());
+      ciphertexts.insert(ciphertexts.end(), rec.ciphertext.begin(),
+                         rec.ciphertext.end());
+    }
+    std::filesystem::remove(path);
+    golden.entries.push_back(
+        exact("campaign.record.samples", std::move(samples)));
+    golden.entries.push_back(
+        exact("campaign.record.ciphertexts", std::move(ciphertexts)));
+  }
   return golden;
 }
 
