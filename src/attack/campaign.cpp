@@ -139,17 +139,28 @@ std::vector<crypto::Block> TraceCampaign::plaintext_chain(
   return chain;
 }
 
+/// Per-block CPA accumulator a worker fills before the ordered merge.
+/// Record blocks do not use it: growing it, even by an empty trace vector,
+/// shifted glibc's arena reuse enough to raise the campaign's peak RSS by
+/// about 10%, so record traces live in separate plan slots.
+struct TraceCampaign::BlockShard {
+  CpaAttack cpa;
+  double poi_sum = 0.0;
+  explicit BlockShard(std::size_t poi) : cpa(poi) {}
+};
+
 void TraceCampaign::process_block(std::size_t first_trace,
                                   std::span<const crypto::Block> plaintexts,
-                                  const util::Rng& trace_parent, CpaAttack& cpa,
-                                  double& poi_sum) const {
+                                  const util::Rng& trace_parent,
+                                  BlockShard* shard,
+                                  std::vector<sim::StoredTrace>* traces) const {
   OBS_SCOPED_HISTO_MS("campaign.block_ms", ({1, 5, 10, 50, 100, 500, 1000}));
   sim::SensorRig::Sampler sampler = rig_->make_sampler();
   victim::AesCoreModel aes = *aes_;  // thread-private encryption state
   const double gain = rig_->coupling().gain_at_node(aes.pdn_node());
   const std::size_t n = plaintexts.size();
   std::vector<crypto::Block> ciphertexts(n);
-  util::aligned_vector<double> poi_rows(n * poi_count_);
+  util::aligned_vector<double> poi_rows(shard != nullptr ? n * poi_count_ : 0);
   std::vector<double> trace(trace_samples_);
   TraceScratch scratch;
 
@@ -162,118 +173,24 @@ void TraceCampaign::process_block(std::size_t first_trace,
 #if defined(LEAKYDSP_OBS)
     rng_draws += rng.draws();
 #endif
+    ciphertexts[i] = aes.ciphertext();
+    if (shard == nullptr) {
+      traces->push_back({ciphertexts[i], trace});
+      continue;
+    }
     double* poi = poi_rows.data() + i * poi_count_;
     for (std::size_t k = 0; k < poi_count_; ++k) {
       poi[k] = trace[poi_begin_ + k];
-      poi_sum += poi[k];
+      shard->poi_sum += poi[k];
     }
-    ciphertexts[i] = aes.ciphertext();
   }
   OBS_COUNT("campaign.traces_sampled", n);
   OBS_COUNT("rng.draws", rng_draws);
-  {
+  if (shard != nullptr) {
     OBS_SPAN("cpa.accumulate");
-    cpa.add_traces(ciphertexts, poi_rows);
+    shard->cpa.add_traces(ciphertexts, poi_rows);
   }
   OBS_PROGRESS_TICK();
-}
-
-// ------------------------------------------------------------- recording
-
-TraceCampaign::RecordCursor TraceCampaign::start_record(util::Rng& rng) const {
-  RecordCursor cursor;
-  for (auto& b : cursor.plaintext) {
-    b = static_cast<std::uint8_t>(rng() & 0xff);
-  }
-  cursor.trace_parent = rng;
-  return cursor;
-}
-
-std::vector<crypto::Block> TraceCampaign::next_plaintexts(
-    RecordCursor& cursor, std::size_t n) const {
-  std::vector<crypto::Block> chain = plaintext_chain(cursor.plaintext, n);
-  cursor.produced += n;
-  return chain;
-}
-
-std::vector<sim::StoredTrace> TraceCampaign::record_block(
-    const util::Rng& trace_parent, std::size_t first_trace,
-    std::span<const crypto::Block> plaintexts) const {
-  sim::SensorRig::Sampler sampler = rig_->make_sampler();
-  victim::AesCoreModel aes = *aes_;  // thread-private encryption state
-  const double gain = rig_->coupling().gain_at_node(aes.pdn_node());
-  TraceScratch scratch;
-  std::vector<sim::StoredTrace> out;
-  out.reserve(plaintexts.size());
-#if defined(LEAKYDSP_OBS)
-  std::uint64_t rng_draws = 0;
-#endif
-  for (std::size_t i = 0; i < plaintexts.size(); ++i) {
-    util::Rng trace_rng = trace_parent.fork(first_trace + i + 1);
-    std::vector<double> samples(trace_samples_);
-    sample_trace(sampler, aes, plaintexts[i], gain, trace_rng, scratch,
-                 samples);
-#if defined(LEAKYDSP_OBS)
-    rng_draws += trace_rng.draws();
-#endif
-    out.push_back({aes.ciphertext(), std::move(samples)});
-  }
-  OBS_COUNT("campaign.traces_sampled", plaintexts.size());
-  OBS_COUNT("rng.draws", rng_draws);
-  OBS_PROGRESS_TICK();
-  return out;
-}
-
-void TraceCampaign::record_waves(
-    util::Rng& rng, std::size_t n,
-    const std::function<void(sim::StoredTrace&)>& sink) const {
-  LD_REQUIRE(n >= 1, "need at least one trace");
-  util::ThreadPool pool(config_.threads);
-  RecordCursor cursor = start_record(rng);
-  // Blocks of block_traces traces, processed in bounded waves: only one
-  // wave of plaintexts and shards is ever resident, and each drains into
-  // the sink in block order. Waves hold whole blocks and every trace forks
-  // its own stream, so the output never depends on the thread count.
-  const std::size_t block = config_.block_traces;
-  const std::size_t wave = std::max<std::size_t>(pool.size(), 1) * 4 * block;
-  while (cursor.produced < n) {
-    const std::size_t first = cursor.produced;
-    const std::vector<crypto::Block> plaintexts =
-        next_plaintexts(cursor, std::min(wave, n - first));
-    std::vector<std::vector<sim::StoredTrace>> shards(
-        (plaintexts.size() + block - 1) / block);
-    pool.parallel_for(shards.size(), [&](std::size_t w) {
-      const std::size_t lo = w * block;
-      const std::size_t hi = std::min(lo + block, plaintexts.size());
-      shards[w] = record_block(cursor.trace_parent, first + lo,
-                               {plaintexts.data() + lo, hi - lo});
-    });
-    for (auto& shard : shards) {
-      for (auto& rec : shard) sink(rec);
-    }
-  }
-}
-
-void TraceCampaign::record(util::Rng& rng, std::size_t n,
-                           sim::TraceStore& store) const {
-  LD_REQUIRE(store.samples_per_trace() == trace_samples_,
-             "store expects " << store.samples_per_trace()
-                              << " samples per trace, campaign produces "
-                              << trace_samples_);
-  record_waves(rng, n, [&](sim::StoredTrace& rec) {
-    store.add(rec.ciphertext, std::move(rec.samples));
-  });
-}
-
-void TraceCampaign::record(util::Rng& rng, std::size_t n,
-                           sim::TraceStoreWriter& writer) const {
-  LD_REQUIRE(writer.samples_per_trace() == trace_samples_,
-             "writer expects " << writer.samples_per_trace()
-                               << " samples per trace, campaign produces "
-                               << trace_samples_);
-  record_waves(rng, n, [&](sim::StoredTrace& rec) {
-    writer.add(rec.ciphertext, rec.samples);
-  });
 }
 
 // ----------------------------------------------------------- checkpoints
@@ -326,13 +243,6 @@ std::string checkpoint_path(const std::string& dir, const std::string& id) {
       std::to_string(err) + ": " +
       std::error_code(err, std::generic_category()).message() + ")");
 }
-
-/// Per-block accumulator a worker fills before the ordered merge.
-struct BlockShard {
-  CpaAttack cpa;
-  double poi_sum = 0.0;
-  explicit BlockShard(std::size_t poi) : cpa(poi) {}
-};
 
 /// Smallest multiple of `stride` strictly greater than `t`.
 std::size_t next_multiple(std::size_t t, std::size_t stride) {
@@ -578,18 +488,21 @@ TraceCampaign::RunState TraceCampaign::load_checkpoint() const {
 
 // ---------------------------------------------------- resumable-task core
 
-/// One planned boundary step: the materialized plaintext slice plus one
-/// shard slot per trace block. run_block() fills slots independently;
-/// finish_step folds them back in block order.
+/// One planned step: the materialized plaintext slice plus one slot per
+/// trace block — a CPA shard for an attack step, the full traces for a
+/// record wave. run_block() fills slots independently; finish_step folds
+/// them back in block order.
 struct TraceCampaign::StepPlan::Impl {
   std::size_t base_t = 0;       ///< state.t when the step was planned
   std::size_t next = 0;         ///< state.t after the step completes
   std::size_t count = 0;        ///< traces in this step (next - base_t)
   std::size_t block = 0;        ///< config.block_traces at planning time
   bool stop_when_broken = true;
+  bool record = false;          ///< a record wave: blocks keep full traces
   util::Rng trace_parent;       ///< per-trace fork parent (snapshot)
   std::vector<crypto::Block> plaintexts;
-  std::vector<std::unique_ptr<BlockShard>> shards;
+  std::vector<std::unique_ptr<BlockShard>> shards;   ///< attack steps
+  std::vector<std::vector<sim::StoredTrace>> traces; ///< record waves
 };
 
 TraceCampaign::StepPlan::StepPlan() = default;
@@ -601,7 +514,7 @@ TraceCampaign::StepPlan& TraceCampaign::StepPlan::operator=(
 TraceCampaign::StepPlan::~StepPlan() = default;
 
 std::size_t TraceCampaign::StepPlan::block_count() const {
-  return impl_ ? impl_->shards.size() : 0;
+  return impl_ ? (impl_->count + impl_->block - 1) / impl_->block : 0;
 }
 
 TraceCampaign::Task::Task(std::unique_ptr<RunState> state)
@@ -614,8 +527,12 @@ std::size_t TraceCampaign::Task::traces_done() const {
   return state_ ? state_->t : 0;
 }
 
-bool TraceCampaign::Task::completed() const {
-  return state_ != nullptr && state_->completed;
+std::size_t TraceCampaign::Task::traces_total() const {
+  return state_ ? state_->max_traces : 0;
+}
+
+bool TraceCampaign::Task::suspendable() const {
+  return state_ != nullptr && state_->writer == nullptr;
 }
 
 TraceCampaign::Task TraceCampaign::start(util::Rng& rng) const {
@@ -624,13 +541,28 @@ TraceCampaign::Task TraceCampaign::start(util::Rng& rng) const {
   // Every trace t forks its own noise stream from this snapshot, so the
   // readouts depend only on the seed and t — never on which worker ran it.
   state->trace_parent = rng;
+  state->max_traces = config_.max_traces;
   return Task(std::move(state));
+}
+
+TraceCampaign::Task TraceCampaign::start_record(
+    util::Rng& rng, std::size_t n, sim::TraceStoreWriter& writer) const {
+  LD_REQUIRE(n >= 1, "need at least one trace");
+  LD_REQUIRE(writer.samples_per_trace() == trace_samples_,
+             "writer expects " << writer.samples_per_trace()
+                               << " samples per trace, campaign produces "
+                               << trace_samples_);
+  Task task = start(rng);
+  task.state_->max_traces = n;
+  task.state_->writer = &writer;
+  return task;
 }
 
 TraceCampaign::Task TraceCampaign::load_task() const {
   LD_REQUIRE(!config_.checkpoint_dir.empty(),
              "load_task() requires config.checkpoint_dir");
   auto state = std::make_unique<RunState>(load_checkpoint());
+  state->max_traces = config_.max_traces;
   OBS_LOG(obs::LogLevel::kInfo, "campaign", "rehydrated task from checkpoint",
           obs::f("dir", config_.checkpoint_dir),
           obs::f("campaign", config_.campaign_id), obs::f("traces", state->t),
@@ -643,16 +575,24 @@ TraceCampaign::StepPlan TraceCampaign::plan_step(Task& task,
   LD_REQUIRE(task.state_ != nullptr, "plan_step on an empty task");
   LD_REQUIRE(config_.block_traces >= 1, "bad block size");
   RunState& state = *task.state_;
-  if (state.completed || state.stopped || state.t >= config_.max_traces) {
+  if (state.completed || state.stopped || state.t >= state.max_traces) {
     return StepPlan();
   }
-  // Advance to the next checkpoint boundary: break checks while the key
-  // is still unbroken, rank checkpoints always.
-  std::size_t next = config_.max_traces;
-  if (!state.result.broken) {
-    next = std::min(next, next_multiple(state.t, config_.break_check_stride));
+  std::size_t next = state.max_traces;
+  if (state.writer != nullptr) {
+    // A record wave: enough blocks to keep every hardware thread busy,
+    // few enough that only one wave of traces is ever resident. Waves
+    // hold whole blocks, so the file never depends on the wave size.
+    next = std::min(next, state.t + 4 * util::ThreadPool::hardware_threads() *
+                                        config_.block_traces);
+  } else {
+    // Advance to the next checkpoint boundary: break checks while the key
+    // is still unbroken, rank checkpoints always.
+    if (!state.result.broken) {
+      next = std::min(next, next_multiple(state.t, config_.break_check_stride));
+    }
+    next = std::min(next, next_multiple(state.t, config_.rank_stride));
   }
-  next = std::min(next, next_multiple(state.t, config_.rank_stride));
 
   auto impl = std::make_unique<StepPlan::Impl>();
   impl->base_t = state.t;
@@ -660,28 +600,40 @@ TraceCampaign::StepPlan TraceCampaign::plan_step(Task& task,
   impl->count = next - state.t;
   impl->block = config_.block_traces;
   impl->stop_when_broken = stop_when_broken;
+  impl->record = state.writer != nullptr;
   impl->trace_parent = state.trace_parent;
   // The paper chains plaintexts (p[t+1] = ciphertext of trace t); the
   // chain is pure AES, so materialize it before any PDN work and hand
   // each worker block its slice. This advances the state's cursor — the
   // step is committed to run once planned.
   impl->plaintexts = plaintext_chain(state.plaintext, impl->count);
-  impl->shards.resize((impl->count + impl->block - 1) / impl->block);
+  const std::size_t blocks = (impl->count + impl->block - 1) / impl->block;
+  if (impl->record) {
+    impl->traces.resize(blocks);
+  } else {
+    impl->shards.resize(blocks);
+  }
   return StepPlan(std::move(impl));
 }
 
 void TraceCampaign::run_block(StepPlan& plan, std::size_t block) const {
   LD_REQUIRE(plan.impl_ != nullptr, "run_block on an empty plan");
   StepPlan::Impl& impl = *plan.impl_;
-  LD_REQUIRE(block < impl.shards.size(),
-             "block " << block << " out of range (" << impl.shards.size()
+  LD_REQUIRE(block < plan.block_count(),
+             "block " << block << " out of range (" << plan.block_count()
                       << " blocks)");
   const std::size_t lo = block * impl.block;
   const std::size_t hi = std::min(lo + impl.block, impl.count);
+  const std::span<const crypto::Block> slice{impl.plaintexts.data() + lo,
+                                             hi - lo};
+  if (impl.record) {
+    process_block(impl.base_t + lo + 1, slice, impl.trace_parent, nullptr,
+                  &impl.traces[block]);
+    return;
+  }
   auto shard = std::make_unique<BlockShard>(poi_count_);
-  process_block(impl.base_t + lo + 1,
-                {impl.plaintexts.data() + lo, hi - lo}, impl.trace_parent,
-                shard->cpa, shard->poi_sum);
+  process_block(impl.base_t + lo + 1, slice, impl.trace_parent, shard.get(),
+                nullptr);
   impl.shards[block] = std::move(shard);
 }
 
@@ -694,15 +646,23 @@ bool TraceCampaign::finish_step(Task& task, StepPlan&& plan) const {
   LD_REQUIRE(step.base_t == state.t,
              "finish_step out of order: plan at trace "
                  << step.base_t << ", task at " << state.t);
-  // Merge in block order: the reduction tree is fixed by the block size,
-  // not by the schedule, so any thread count gives identical sums.
+  // Fold in block order: the reduction tree is fixed by the block size,
+  // not by the schedule, so any thread count gives identical sums — and a
+  // record wave reaches the writer in trace order.
   for (const auto& shard : step.shards) {
     LD_REQUIRE(shard != nullptr, "finish_step before every block ran");
     state.cpa.merge(shard->cpa);
     state.poi_sum += shard->poi_sum;
   }
+  for (const auto& block : step.traces) {
+    LD_REQUIRE(!block.empty(), "finish_step before every block ran");
+    for (const sim::StoredTrace& rec : block) {
+      state.writer->add(rec.ciphertext, rec.samples);
+    }
+  }
   state.t = step.next;
   state.result.traces_run = state.t;
+  if (state.writer != nullptr) return state.t < state.max_traces;
 
   const crypto::Key true_key = aes_->cipher().round_keys()[0];
   const crypto::RoundKey true_rk10 = aes_->cipher().round_keys()[10];
@@ -742,11 +702,14 @@ bool TraceCampaign::finish_step(Task& task, StepPlan&& plan) const {
     stop = step.stop_when_broken && state.result.broken;
   }
   if (stop) state.stopped = true;
-  return !stop && state.t < config_.max_traces;
+  return !stop && state.t < state.max_traces;
 }
 
 void TraceCampaign::suspend(const Task& task) const {
   LD_REQUIRE(task.state_ != nullptr, "suspend on an empty task");
+  LD_REQUIRE(task.suspendable(),
+             "record tasks cannot be suspended: a trace file only commits "
+             "at its footer");
   LD_REQUIRE(!config_.checkpoint_dir.empty(),
              "suspend() requires config.checkpoint_dir");
   write_checkpoint(*task.state_);
@@ -761,7 +724,9 @@ CampaignResult TraceCampaign::take_result(Task&& task) const {
         state.poi_sum / (static_cast<double>(state.result.traces_run) *
                          static_cast<double>(poi_count_));
     state.completed = true;
-    if (!config_.checkpoint_dir.empty()) write_checkpoint(state);
+    if (!config_.checkpoint_dir.empty() && consumed.suspendable()) {
+      write_checkpoint(state);
+    }
   }
   // The serialized result never carries the final scores, so every path —
   // a state rehydrated from an already-completed checkpoint included —
@@ -809,12 +774,18 @@ CampaignResult TraceCampaign::resume(bool stop_when_broken) {
   return drive(load_task(), stop_when_broken);
 }
 
-CampaignResult TraceCampaign::drive(Task task, bool stop_when_broken) {
-  const bool checkpointing = !config_.checkpoint_dir.empty();
+void TraceCampaign::record(util::Rng& rng, std::size_t n,
+                           sim::TraceStoreWriter& writer) const {
+  (void)drive(start_record(rng, n, writer), /*stop_when_broken=*/false);
+}
+
+CampaignResult TraceCampaign::drive(Task task, bool stop_when_broken) const {
+  const bool checkpointing =
+      !config_.checkpoint_dir.empty() && task.suspendable();
   util::ThreadPool pool(config_.threads);
   OBS_LOG(obs::LogLevel::kInfo, "campaign", "run loop started",
           obs::f("from_trace", task.traces_done()),
-          obs::f("max_traces", config_.max_traces),
+          obs::f("max_traces", task.traces_total()),
           obs::f("block_traces", config_.block_traces),
           obs::f("threads", pool.size()),
           obs::f("checkpointing", checkpointing));

@@ -173,31 +173,35 @@ class TraceCampaign {
                                 const std::string& campaign_id = "");
 
   // ---------------------------------------------------------------------
-  // Resumable-task interface. run()/resume() are thin drivers over this:
-  // a Task is the mid-campaign state between two checkpoint boundaries, a
-  // StepPlan is one boundary-to-boundary step expanded into independently
-  // runnable trace blocks. The campaign service schedules thousands of
-  // Tasks over one shared thread pool at block granularity; because every
-  // block draws from per-trace RNG forks and finish_step merges shards in
-  // block order, the final CampaignResult is byte-identical to run()'s no
-  // matter which threads ran which blocks, how steps interleaved with
-  // other campaigns, or how often the task was suspended and rehydrated.
+  // Resumable-task interface. run()/resume()/record() are thin drivers
+  // over this: a Task is the state between two step boundaries (checkpoint
+  // boundaries, or a record task's bounded waves), a StepPlan is one step
+  // expanded into independently runnable trace blocks. The campaign
+  // service schedules thousands of Tasks over one shared thread pool at
+  // block granularity; because every block draws from per-trace RNG forks
+  // and finish_step folds blocks in block order, results and trace files
+  // are byte-identical to a standalone run no matter which threads ran
+  // which blocks, how steps interleaved with other campaigns, or how often
+  // an attack task was suspended and rehydrated.
   // ---------------------------------------------------------------------
 
-  /// Opaque mid-campaign state (move-only). Produced by start() or
-  /// load_task(), advanced by plan_step/run_block/finish_step, persisted
-  /// by suspend(), consumed by take_result().
+  /// Opaque mid-campaign state (move-only). Produced by start(),
+  /// start_record() or load_task(), advanced by plan_step/run_block/
+  /// finish_step, persisted by suspend(), consumed by take_result().
   class Task {
    public:
     Task(Task&&) noexcept;
     Task& operator=(Task&&) noexcept;
     ~Task();
 
-    /// Traces accumulated so far (checkpoint-boundary granularity).
+    /// Traces accumulated (or written) so far, at step granularity.
     std::size_t traces_done() const;
-    /// True once the run loop reached its natural end (take_result() will
-    /// not plan further work; a loaded completed checkpoint starts true).
-    bool completed() const;
+    /// The task's trace budget: config.max_traces for an attack task, the
+    /// requested count for a record task.
+    std::size_t traces_total() const;
+    /// False for record tasks: a v2 trace file only commits at its
+    /// footer, so a record task runs to completion and never checkpoints.
+    bool suspendable() const;
 
    private:
     friend class TraceCampaign;
@@ -205,10 +209,11 @@ class TraceCampaign {
     std::unique_ptr<RunState> state_;
   };
 
-  /// One planned checkpoint-boundary step: the materialized plaintext
-  /// slice plus one CPA shard per trace block. Blocks are independent —
-  /// any thread may execute any subset concurrently via run_block() —
-  /// and finish_step() folds them back into the Task in block order.
+  /// One planned step: the materialized plaintext slice plus one shard per
+  /// trace block (a CPA shard, or the block's full traces for a record
+  /// wave). Blocks are independent — any thread may execute any subset
+  /// concurrently via run_block() — and finish_step() folds them back into
+  /// the Task in block order.
   class StepPlan {
    public:
     StepPlan(StepPlan&&) noexcept;
@@ -232,6 +237,15 @@ class TraceCampaign {
   /// plaintext and snapshots `rng` as the per-trace fork parent.
   Task start(util::Rng& rng) const;
 
+  /// Fresh record task (record() drives it): seeded exactly like start(),
+  /// it records `n` full chained-plaintext traces into `writer`, which
+  /// must outlive the task and expect trace_samples() samples per trace.
+  /// Its steps are waves of 4 x util::ThreadPool::hardware_threads()
+  /// blocks of config.block_traces traces; finish_step appends each wave
+  /// to the writer in trace order. Finishing the writer is the caller's.
+  Task start_record(util::Rng& rng, std::size_t n,
+                    sim::TraceStoreWriter& writer) const;
+
   /// Rehydrates a Task from the durable checkpoint in
   /// config.checkpoint_dir (keyed on config.campaign_id). The campaign
   /// must be rebuilt exactly as for the original run — same contract as
@@ -239,7 +253,7 @@ class TraceCampaign {
   /// incompatible checkpoint.
   Task load_task() const;
 
-  /// Plans the next boundary step. Empty when the task is done. Mutates
+  /// Plans the next step. Empty when the task is done. Mutates
   /// the task's plaintext cursor, so call it from one thread at a time
   /// per task (block execution itself is free to fan out).
   StepPlan plan_step(Task& task, bool stop_when_broken = true) const;
@@ -248,18 +262,20 @@ class TraceCampaign {
   /// across distinct `block` indices of the same plan.
   void run_block(StepPlan& plan, std::size_t block) const;
 
-  /// Folds a fully executed plan into the task (shards merge in block
-  /// order) and performs the boundary bookkeeping: break checks, rank
-  /// checkpoints, stop decision. Returns true while more steps remain.
+  /// Folds a fully executed plan into the task in block order — CPA shards
+  /// merge, record waves append to the writer — and, for an attack task,
+  /// performs the boundary bookkeeping: break checks, rank checkpoints,
+  /// stop decision. Returns true while more steps remain.
   bool finish_step(Task& task, StepPlan&& plan) const;
 
   /// Durably persists the task as this campaign's checkpoint — the
   /// suspension record the service's eviction path writes before dropping
-  /// a resident campaign. Requires config.checkpoint_dir.
+  /// a resident campaign. Requires config.checkpoint_dir and a
+  /// suspendable() task.
   void suspend(const Task& task) const;
 
   /// Finalizes the task into its CampaignResult and, when checkpointing
-  /// is configured, writes the final completed checkpoint.
+  /// is configured, writes an attack task's final completed checkpoint.
   CampaignResult take_result(Task&& task) const;
 
   /// Approximate peak heap bytes of one in-flight task: the durable CPA
@@ -268,58 +284,23 @@ class TraceCampaign {
   /// admission unit of its memory budget, not as an allocator.
   std::size_t approx_task_bytes() const;
 
-  /// The configuration this campaign was constructed with (the service's
-  /// introspection reports max_traces and checkpointing from it).
-  const CampaignConfig& config() const { return config_; }
-
   /// Generates one trace (all samples of one encryption) without feeding
   /// the CPA — used by tests and the consistency check. Serial: samples
   /// through the rig's own state, continuing wherever it left off.
   std::vector<double> generate_trace(const crypto::Block& plaintext,
                                      util::Rng& rng);
 
-  /// Records `n` full chained-plaintext traces into `store` (trace order),
-  /// under the same per-trace fork discipline and block schedule as run():
-  /// parallel over config.threads, bit-identical for every thread count.
-  void record(util::Rng& rng, std::size_t n, sim::TraceStore& store) const;
-
-  /// Streaming variant: records straight into a v2 writer, processing
-  /// blocks in bounded waves so memory stays O(threads x block) instead
-  /// of O(n). Produces a file byte-identical to record()-into-a-store
-  /// followed by save(), for every thread count.
+  /// Records `n` full chained-plaintext traces into `writer` (trace
+  /// order) by driving a start_record() task over a pool of
+  /// config.threads: the same per-trace fork discipline and block kernel
+  /// as run(), memory bounded by one wave, and a file byte-identical for
+  /// every thread count. The caller finishes the writer.
   void record(util::Rng& rng, std::size_t n,
               sim::TraceStoreWriter& writer) const;
 
   /// Sensor samples per trace — the samples_per_trace a TraceStore or
   /// TraceStoreWriter consuming this campaign's traces must be built with.
   std::size_t trace_samples() const { return trace_samples_; }
-
-  /// Cursor of a resumable record() stream: the per-trace fork parent and
-  /// the chained-plaintext position. The campaign service advances one of
-  /// these wave by wave to stream v2 trace output with bounded memory.
-  struct RecordCursor {
-    util::Rng trace_parent;
-    crypto::Block plaintext{};
-    std::size_t produced = 0;  ///< plaintexts handed out so far
-  };
-
-  /// Starts a record stream exactly as record() does: seeds the plaintext
-  /// chain from `rng` and snapshots it as the fork parent, so a stream
-  /// driven through next_plaintexts()/record_block() yields files
-  /// byte-identical to record() for the same rng state.
-  RecordCursor start_record(util::Rng& rng) const;
-
-  /// Materializes the next `n` chained plaintexts of the stream.
-  std::vector<crypto::Block> next_plaintexts(RecordCursor& cursor,
-                                             std::size_t n) const;
-
-  /// Generates the traces of `plaintexts` (global trace indices
-  /// [first_trace, first_trace + size), 0-based) under record()'s fork
-  /// discipline: trace i draws from trace_parent.fork(i + 1). Thread-safe
-  /// across blocks — this is the unit the service schedules.
-  std::vector<sim::StoredTrace> record_block(
-      const util::Rng& trace_parent, std::size_t first_trace,
-      std::span<const crypto::Block> plaintexts) const;
 
  private:
   /// Mid-campaign state: everything the run loop needs to continue from a
@@ -332,37 +313,39 @@ class TraceCampaign {
     double poi_sum = 0.0;
     std::size_t consecutive_ok = 0;
     std::size_t t = 0;           ///< traces completed
+    std::size_t max_traces = 0;  ///< trace budget (Task::traces_total)
     bool completed = false;      ///< the loop ran to its natural end
     /// Stop-after-stable-break latched at a rank boundary. Transient (not
     /// serialized): a resume re-derives it at its next rank boundary.
     bool stopped = false;
+    sim::TraceStoreWriter* writer = nullptr;  ///< record tasks' sink
     CampaignResult result;
   };
 
-  /// The one step loop behind run() and resume(): plan, run the blocks
-  /// over a pool of config.threads, fold, checkpoint — until the task has
-  /// no work left — then take the result.
-  CampaignResult drive(Task task, bool stop_when_broken);
+  /// Per-block CPA accumulator of attack steps; defined in campaign.cpp.
+  struct BlockShard;
+
+  /// The one step loop behind run(), resume() and record(): plan, run the
+  /// blocks over a pool of config.threads, fold, checkpoint a suspendable
+  /// task — until the task has no work left — then take the result.
+  CampaignResult drive(Task task, bool stop_when_broken) const;
 
   void write_checkpoint(const RunState& state) const;
   RunState load_checkpoint() const;
 
-  /// The one wave loop behind both record() overloads: streams `n` traces
-  /// through start_record/next_plaintexts/record_block over a pool of
-  /// config.threads, handing each to `sink` in trace order.
-  void record_waves(util::Rng& rng, std::size_t n,
-                    const std::function<void(sim::StoredTrace&)>& sink) const;
   double interference_droop(double t_ns, util::Rng& rng,
                             std::vector<pdn::CurrentInjection>& scratch) const;
 
-  /// Generates traces first_trace .. first_trace + plaintexts.size() - 1
-  /// (1-based campaign numbering) into `cpa` and `poi_sum` using only
-  /// thread-private state; trace t draws its noise from
-  /// trace_parent.fork(t).
+  /// The per-block trace kernel of attack steps and record waves alike:
+  /// generates traces first_trace .. first_trace + plaintexts.size() - 1
+  /// (1-based campaign numbering) using only thread-private state; trace t
+  /// draws its noise from trace_parent.fork(t). An attack block passes its
+  /// `shard`, which takes the POI windows; a record block passes a null
+  /// shard and `traces`, which takes the full traces.
   void process_block(std::size_t first_trace,
                      std::span<const crypto::Block> plaintexts,
-                     const util::Rng& trace_parent, CpaAttack& cpa,
-                     double& poi_sum) const;
+                     const util::Rng& trace_parent, BlockShard* shard,
+                     std::vector<sim::StoredTrace>* traces) const;
 
   /// Reusable per-worker SoA buffers of the batched trace path — one
   /// allocation per block instead of per trace, 64-byte aligned for the

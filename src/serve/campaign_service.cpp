@@ -6,6 +6,7 @@
 #include <condition_variable>
 #include <deque>
 #include <exception>
+#include <filesystem>
 #include <mutex>
 #include <sstream>
 
@@ -42,6 +43,9 @@ struct BlockItem {
 struct Resident {
   std::size_t job_index = 0;
   std::unique_ptr<CampaignWorld> world;
+  /// Record jobs only: the file the record task streams into, finished
+  /// when the job retires. Declared before `task`, which points at it.
+  std::unique_ptr<sim::TraceStoreWriter> writer;
   std::optional<attack::TraceCampaign::Task> task;
   std::optional<attack::TraceCampaign::StepPlan> plan;
   std::atomic<std::size_t> blocks_left{0};
@@ -50,15 +54,6 @@ struct Resident {
   std::size_t last_step_seq = 0;  ///< global step seq of this campaign's
                                   ///< previous completion (0 = none yet)
   std::size_t task_bytes = 0;     ///< admission charge against the budget
-
-  // Record-job state (is_record only).
-  bool is_record = false;
-  std::unique_ptr<sim::TraceStoreWriter> writer;
-  attack::TraceCampaign::RecordCursor cursor;
-  std::vector<crypto::Block> wave_plaintexts;
-  std::vector<std::vector<sim::StoredTrace>> wave_shards;
-  std::size_t wave_first_trace = 0;
-  std::size_t record_done = 0;
 };
 
 /// A job's queue entry: the spec plus whether a durable checkpoint already
@@ -82,8 +77,6 @@ struct CampaignService::Impl {
   bool drained = false;
 
   // ---- scheduler state (drain() only) ----
-  std::size_t pool_size = 0;
-
   /// Per-worker block deques: owner pops the back (LIFO keeps its own
   /// plan's blocks warm), thieves pop the front (FIFO takes the oldest,
   /// which is fairest to long-waiting plans).
@@ -259,8 +252,9 @@ struct CampaignService::Impl {
     return true;
   }
 
-  /// Builds the job's world and its task (or record cursor). The resident
-  /// is private to the calling worker until installed, so no lock is held.
+  /// Builds the job's world and its task (a record task for record jobs).
+  /// The resident is private to the calling worker until installed, so no
+  /// lock is held.
   std::unique_ptr<Resident> hydrate(std::size_t job_index,
                                     bool from_checkpoint) const {
     const CampaignJob& job = jobs[job_index].job;
@@ -272,14 +266,10 @@ struct CampaignService::Impl {
     attack::TraceCampaign& campaign = resident->world->campaign();
     resident->task_bytes = campaign.approx_task_bytes();
     if (job.record.has_value()) {
-      const RecordJobSpec& spec = *job.record;
-      LD_REQUIRE(spec.traces >= 1, "record job '" << job.id << "' needs traces");
-      LD_REQUIRE(!spec.out_path.empty(),
-                 "record job '" << job.id << "' needs an out path");
-      resident->is_record = true;
       resident->writer = std::make_unique<sim::TraceStoreWriter>(
-          spec.out_path, campaign.trace_samples());
-      resident->cursor = campaign.start_record(resident->world->rng());
+          job.record->out_path, campaign.trace_samples());
+      resident->task.emplace(campaign.start_record(
+          resident->world->rng(), job.record->traces, *resident->writer));
     } else if (from_checkpoint || job.resume) {
       resident->task.emplace(campaign.load_task());
     } else {
@@ -307,11 +297,8 @@ struct CampaignService::Impl {
       OBS_COUNT("serve.rehydrations", 1);
     }
     job_states[job_index] = CampaignState::kResident;
-    job_traces[job_index] =
-        resident->is_record
-            ? std::pair{resident->record_done, queued.job.record->traces}
-            : std::pair{resident->task->traces_done(),
-                        resident->world->campaign().config().max_traces};
+    job_traces[job_index] = {resident->task->traces_done(),
+                             resident->task->traces_total()};
     last_progress_ns.store(now_ns(), std::memory_order_relaxed);
     OBS_LOG(obs::LogLevel::kDebug, "serve", "campaign admitted",
             obs::f("campaign", queued.job.id),
@@ -329,24 +316,8 @@ struct CampaignService::Impl {
   bool plan_next_locked(Resident& resident) {
     const CampaignJob& job = jobs[resident.job_index].job;
     attack::TraceCampaign& campaign = resident.world->campaign();
-
-    if (resident.is_record) {
-      const RecordJobSpec& spec = *job.record;
-      const std::size_t remaining = spec.traces - resident.record_done;
-      if (remaining == 0) return false;
-      const std::size_t block = std::max<std::size_t>(spec.block_traces, 1);
-      const std::size_t wave_blocks =
-          spec.wave_blocks != 0 ? spec.wave_blocks : 4 * pool_size;
-      const std::size_t count = std::min(remaining, wave_blocks * block);
-      resident.wave_first_trace = resident.record_done;
-      resident.wave_plaintexts = campaign.next_plaintexts(resident.cursor, count);
-      resident.wave_shards.assign((count + block - 1) / block, {});
-      push_blocks_locked(resident, resident.wave_shards.size());
-      return true;
-    }
-
-    // A rehydrated checkpoint of an already-finished campaign has no step.
-    if (resident.task->completed()) return false;
+    // The plan is empty for a finished task, including one rehydrated
+    // from a completed checkpoint.
     resident.plan.emplace(
         campaign.plan_step(*resident.task, job.stop_when_broken));
     if (resident.plan->empty()) {
@@ -371,19 +342,16 @@ struct CampaignService::Impl {
       (void)job;  // only feeds logs/metrics, which may compile away
       attack::TraceCampaign& campaign = resident->world->campaign();
       attack::CampaignResult result;
-      std::size_t traces_done = 0;
-      if (resident->is_record) {
+      const std::size_t traces_done = resident->task->traces_done();
+      if (exit == Exit::kEvicted) {
+        campaign.suspend(*resident->task);
+      } else {
+        result = campaign.take_result(std::move(*resident->task));
+      }
+      resident->task.reset();
+      if (resident->writer != nullptr) {
         resident->writer->finish();
         resident->writer.reset();
-        traces_done = resident->record_done;
-      } else {
-        traces_done = resident->task->traces_done();
-        if (exit == Exit::kEvicted) {
-          campaign.suspend(*resident->task);
-        } else {
-          result = campaign.take_result(std::move(*resident->task));
-        }
-        resident->task.reset();
       }
       resident->world.reset();
 
@@ -409,7 +377,7 @@ struct CampaignService::Impl {
                   obs::f("steps_this_turn", resident->steps_this_turn));
           pending.push_back(job_index);
         } else {
-          if (resident->is_record) {
+          if (job.record.has_value()) {
             outcome.traces_recorded = traces_done;
           } else {
             outcome.result = std::move(result);
@@ -447,30 +415,16 @@ struct CampaignService::Impl {
 
   /// Folds a completed step (last block just ran) back into the task and
   /// decides what happens next: another step, eviction, or completion.
-  /// The worker that ran the plan's last block owns the task, plan and
-  /// wave state until the next plan is dealt, so the merge runs unlocked.
+  /// The worker that ran the plan's last block owns the task and plan
+  /// until the next plan is dealt, so the fold (a record wave's file
+  /// writes included) runs unlocked.
   void complete_step(Resident& resident) {
     const CampaignJob& job = jobs[resident.job_index].job;
     (void)job;  // only feeds logs/metrics, which may compile away
 
-    bool more = true;
-    if (resident.is_record) {
-      // Drain the wave into the writer in trace order — the file is byte-
-      // identical to record(writer) because the fork discipline is
-      // per-trace and the drain order is the trace order.
-      for (auto& shard : resident.wave_shards) {
-        for (auto& rec : shard) {
-          resident.writer->add(rec.ciphertext, rec.samples);
-        }
-        resident.record_done += shard.size();
-      }
-      resident.wave_shards.clear();
-      resident.wave_plaintexts.clear();
-    } else {
-      more = resident.world->campaign().finish_step(*resident.task,
-                                                    std::move(*resident.plan));
-      resident.plan.reset();
-    }
+    const bool more = resident.world->campaign().finish_step(
+        *resident.task, std::move(*resident.plan));
+    resident.plan.reset();
 
     Exit exit = Exit::kFinished;
     {
@@ -484,9 +438,7 @@ struct CampaignService::Impl {
             stats.max_step_gap, stats.steps_completed - resident.last_step_seq);
       }
       resident.last_step_seq = stats.steps_completed;
-      job_traces[resident.job_index].first = resident.is_record
-                                                 ? resident.record_done
-                                                 : resident.task->traces_done();
+      job_traces[resident.job_index].first = resident.task->traces_done();
 #if defined(LEAKYDSP_OBS)
       obs::Registry::global().add(obs::Registry::global().labeled_counter(
           "serve.campaign.steps", job.id));
@@ -497,9 +449,9 @@ struct CampaignService::Impl {
       // Fair sharing under queue pressure: after quantum_steps boundary
       // steps, a resident attack campaign yields its slot — its task is
       // suspended into the durable keyed checkpoint and the job re-enters
-      // the FIFO. Record jobs never evict (their writer only commits at
-      // the footer).
-      if (more && !resident.is_record && waiting_locked() &&
+      // the FIFO. Record tasks are not suspendable (their writer only
+      // commits at the footer), so they run to completion.
+      if (more && resident.task->suspendable() && waiting_locked() &&
           resident.steps_this_turn >= config.quantum_steps) {
         exit = Exit::kEvicted;
       } else if (more && plan_next_locked(resident)) {
@@ -514,19 +466,7 @@ struct CampaignService::Impl {
     resident.worker_mask.fetch_or(
         std::uint64_t{1} << std::min<std::size_t>(worker, 63),
         std::memory_order_relaxed);
-    attack::TraceCampaign& campaign = resident.world->campaign();
-    if (resident.is_record) {
-      const RecordJobSpec& spec = *jobs[resident.job_index].job.record;
-      const std::size_t block = std::max<std::size_t>(spec.block_traces, 1);
-      const std::size_t lo = item.block * block;
-      const std::size_t hi =
-          std::min(lo + block, resident.wave_plaintexts.size());
-      resident.wave_shards[item.block] = campaign.record_block(
-          resident.cursor.trace_parent, resident.wave_first_trace + lo,
-          {resident.wave_plaintexts.data() + lo, hi - lo});
-    } else {
-      campaign.run_block(*resident.plan, item.block);
-    }
+    resident.world->campaign().run_block(*resident.plan, item.block);
     OBS_COUNT("serve.blocks", 1);
     stats_blocks_run.fetch_add(1, std::memory_order_relaxed);
     last_progress_ns.store(now_ns(), std::memory_order_relaxed);
@@ -596,6 +536,27 @@ void CampaignService::enqueue(CampaignJob job) {
     LD_REQUIRE(queued.job.id != job.id,
                "duplicate campaign job id '" << job.id << "'");
   }
+  if (job.record.has_value()) {
+    // Rejected here, not in a worker mid-drain, where the throw would
+    // abort every other job.
+    const RecordJobSpec& spec = *job.record;
+    LD_REQUIRE(spec.traces >= 1, "record job '" << job.id << "' needs traces");
+    LD_REQUIRE(!spec.out_path.empty(),
+               "record job '" << job.id << "' needs an out path");
+    LD_REQUIRE(!job.resume, "record job '" << job.id
+                                           << "' cannot resume: it never "
+                                              "checkpoints");
+    const std::filesystem::path out =
+        std::filesystem::absolute(spec.out_path).lexically_normal();
+    for (const QueuedJob& queued : impl_->jobs) {
+      LD_REQUIRE(!queued.job.record.has_value() ||
+                     std::filesystem::absolute(queued.job.record->out_path)
+                             .lexically_normal() != out,
+                 "record jobs '" << queued.job.id << "' and '" << job.id
+                                 << "' share the out path '" << spec.out_path
+                                 << "'");
+    }
+  }
   CampaignOutcome outcome;
   outcome.id = job.id;
   impl_->outcomes.push_back(std::move(outcome));
@@ -619,11 +580,11 @@ std::vector<CampaignOutcome> CampaignService::drain() {
              "(eviction suspends through durable checkpoints)");
 
   util::ThreadPool pool(impl.config.threads);
+  const std::size_t workers = pool.size();
   {
     // A scrape may already be reading the tables.
     std::lock_guard<std::mutex> lock(impl.mutex);
-    impl.pool_size = pool.size();
-    for (std::size_t w = 0; w < impl.pool_size; ++w) {
+    for (std::size_t w = 0; w < workers; ++w) {
       impl.deques.push_back(std::make_unique<Impl::WorkerDeque>());
     }
     for (std::size_t j = 0; j < impl.jobs.size(); ++j) {
@@ -633,12 +594,12 @@ std::vector<CampaignOutcome> CampaignService::drain() {
   impl.last_progress_ns.store(now_ns(), std::memory_order_relaxed);
   impl.draining.store(true, std::memory_order_release);
   OBS_LOG(obs::LogLevel::kInfo, "serve", "drain started",
-          obs::f("jobs", impl.jobs.size()), obs::f("workers", impl.pool_size),
+          obs::f("jobs", impl.jobs.size()), obs::f("workers", workers),
           obs::f("max_resident", impl.config.max_resident),
           obs::f("budget_bytes", impl.config.memory_budget_bytes));
   {
     OBS_SPAN("serve.drain");
-    pool.parallel_for(impl.pool_size,
+    pool.parallel_for(workers,
                       [&](std::size_t w) { impl.worker_loop(w); });
   }
   impl.stats.blocks_stolen =

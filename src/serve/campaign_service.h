@@ -62,21 +62,18 @@ class CampaignWorld {
 };
 
 /// Streaming trace-recording variant of a job: instead of driving the CPA
-/// loop, the campaign records `traces` chained-plaintext traces into a v2
-/// trace file at `out_path`, wave by wave through the service scheduler
-/// (bounded memory: one wave of block shards at a time, drained into the
-/// writer in trace order). The file is byte-identical to
-/// TraceCampaign::record(writer) for the same world and seed. Record jobs
-/// are not evictable — a v2 file only commits at its footer — so they run
-/// to completion once admitted.
+/// loop, the job runs its campaign's record task (TraceCampaign::
+/// start_record), writing `traces` chained-plaintext traces into a v2
+/// trace file at `out_path`. Its waves of blocks share the scheduler with
+/// attack steps, and memory stays bounded at one wave. The file is
+/// byte-identical to TraceCampaign::record(writer) for the same world and
+/// seed. Record tasks are not suspendable — a v2 file only commits at its
+/// footer — so a record job runs to completion once admitted and is never
+/// evicted. enqueue() rejects zero traces, an empty path, `resume`, and a
+/// path another queued record job already writes.
 struct RecordJobSpec {
   std::size_t traces = 0;
   std::string out_path;
-  /// Traces per scheduled block (the record fork discipline is per-trace,
-  /// so this only shapes scheduling, never bytes).
-  std::size_t block_traces = 64;
-  /// Blocks per wave; 0 = 4x the pool size.
-  std::size_t wave_blocks = 0;
 };
 
 /// One queued campaign.
@@ -210,7 +207,9 @@ class CampaignService {
   CampaignService(const CampaignService&) = delete;
   CampaignService& operator=(const CampaignService&) = delete;
 
-  /// Queues a job. Only valid before drain().
+  /// Queues a job. Only valid before drain(). Throws
+  /// util::PreconditionError on a duplicate id or an invalid record job
+  /// (see RecordJobSpec), before anything is queued.
   void enqueue(CampaignJob job);
 
   std::size_t queued() const;

@@ -3,8 +3,11 @@
 // generated residency limit, quantum, and thread count, with evictions and
 // rehydrations forced by contention — must produce, for every campaign, a
 // CampaignResult bit-identical to a standalone TraceCampaign::run of the
-// same spec.
+// same spec. One record job rides in every batch; its trace file must be
+// byte-identical to a standalone TraceCampaign::record.
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -12,6 +15,7 @@
 #include "attack/campaign.h"
 #include "serve/campaign_service.h"
 #include "serve/standard_jobs.h"
+#include "sim/trace_store.h"
 #include "verify/oracle.h"
 
 namespace leakydsp::verify {
@@ -27,6 +31,7 @@ struct ServeCase {
   std::int64_t max_resident = 1;
   std::int64_t quantum_steps = 1;
   std::int64_t threads = 2;
+  std::int64_t record_traces = 64;
   std::uint64_t seed = 0;
 };
 
@@ -36,7 +41,8 @@ std::string describe_serve(const ServeCase& c) {
       << " block=" << c.block_traces << " break_stride=" << c.break_stride
       << " rank_stride=" << c.rank_stride
       << " max_resident=" << c.max_resident << " quantum=" << c.quantum_steps
-      << " threads=" << c.threads << " seed=" << c.seed << "}";
+      << " threads=" << c.threads << " record_traces=" << c.record_traces
+      << " seed=" << c.seed << "}";
   return oss.str();
 }
 
@@ -74,6 +80,11 @@ serve::StandardCampaignSpec case_spec(const ServeCase& c, std::size_t job,
   return spec;
 }
 
+std::string file_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
 Property<ServeCase> serve_vs_standalone_property() {
   Property<ServeCase> prop;
   prop.name = "serve.scheduled_vs_standalone";
@@ -88,6 +99,7 @@ Property<ServeCase> serve_vs_standalone_property() {
     c.quantum_steps = gen_int(rng, 1, 2);
     c.threads = gen_int(rng, 2, 4);
     c.seed = rng();
+    c.record_traces = gen_int(rng, 1, 400);
     return c;
   };
   prop.shrink = [](const ServeCase& c) {
@@ -112,6 +124,11 @@ Property<ServeCase> serve_vs_standalone_property() {
       s.threads = 2;
       out.push_back(s);
     }
+    for (const std::int64_t traces : shrink_int(c.record_traces, 1)) {
+      ServeCase s = c;
+      s.record_traces = traces;
+      out.push_back(s);
+    }
     return out;
   };
   prop.describe = describe_serve;
@@ -129,10 +146,36 @@ Property<ServeCase> serve_vs_standalone_property() {
           case_spec(c, static_cast<std::size_t>(j), dir.path()));
       service.enqueue(serve::make_standard_job(specs.back()));
     }
+    // The record job queues last, so under contention it waits for the
+    // attack jobs' evictions and its waves then share the pool with their
+    // blocks.
+    serve::StandardCampaignSpec record_spec =
+        case_spec(c, specs.size(), dir.path());
+    record_spec.id = "oracle-record";
+    const auto record_traces = static_cast<std::size_t>(c.record_traces);
+    const std::string record_path = dir.path() + "/scheduled.ldtr";
+    serve::CampaignJob record_job = serve::make_standard_job(record_spec);
+    record_job.record = serve::RecordJobSpec{record_traces, record_path};
+    service.enqueue(std::move(record_job));
+
     const auto outcomes = service.drain();
-    if (outcomes.size() != specs.size()) {
+    if (outcomes.size() != specs.size() + 1) {
       return fail("drain returned " + std::to_string(outcomes.size()) +
-                  " outcomes for " + std::to_string(specs.size()) + " jobs");
+                  " outcomes for " + std::to_string(specs.size() + 1) +
+                  " jobs");
+    }
+    if (outcomes.back().evictions != 0) return fail("record job evicted");
+    {
+      const std::string standalone_path = dir.path() + "/standalone.ldtr";
+      auto world = serve::make_standard_world(record_spec);
+      sim::TraceStoreWriter writer(standalone_path,
+                                   world->campaign().trace_samples());
+      world->campaign().record(world->rng(), record_traces, writer);
+      writer.finish();
+      if (file_bytes(record_path) != file_bytes(standalone_path)) {
+        return fail("record job's trace file differs from standalone "
+                    "TraceCampaign::record");
+      }
     }
     for (std::size_t j = 0; j < specs.size(); ++j) {
       const auto standalone = serve::run_standard_campaign(specs[j], 1);
@@ -175,7 +218,8 @@ void register_serve_oracles(std::vector<Oracle>& out) {
   out.push_back(make_oracle(
       "CampaignService drain (work-stealing blocks, bounded residency, "
       "checkpoint eviction/rehydration) vs standalone TraceCampaign::run "
-      "per campaign: bit-identical CampaignResult",
+      "per campaign: bit-identical CampaignResult; a record job in the "
+      "batch writes a file byte-identical to TraceCampaign::record",
       2, serve_vs_standalone_property()));
 }
 

@@ -257,45 +257,15 @@ TEST_F(ParallelCampaignTest, ResultIndependentOfThreadCount) {
 }
 
 TEST_F(ParallelCampaignTest, RecordedTracesIndependentOfThreadCount) {
-  const auto record_with_threads = [&](std::size_t threads) {
-    lu::Rng rng(219);
-    const lc::Key key = random_block(rng);
-    lv::AesCoreModel aes(key, scenario_.aes_site(), scenario_.grid());
-    lcore::LeakyDspSensor sensor(
-        scenario_.device(),
-        scenario_
-            .attack_placements()[lsim::Basys3Scenario::kBestPlacementIndex]);
-    lsim::SensorRig rig(scenario_.grid(), sensor);
-    rig.calibrate(rng);
-    la::CampaignConfig config;
-    config.threads = threads;
-    la::TraceCampaign campaign(rig, aes, config);
-    lsim::TraceStore store((aes.cycles_per_encryption() + 2) *
-                           campaign.samples_per_cycle());
-    campaign.record(rng, 150, store);
-    return store;
-  };
-  const auto serial = record_with_threads(1);
-  const auto parallel = record_with_threads(4);
-  ASSERT_EQ(serial.size(), 150u);
-  ASSERT_EQ(parallel.size(), serial.size());
-  for (std::size_t t = 0; t < serial.size(); ++t) {
-    ASSERT_EQ(serial.trace(t).ciphertext, parallel.trace(t).ciphertext);
-    ASSERT_EQ(serial.trace(t).samples, parallel.trace(t).samples);
-  }
-}
-
-TEST_F(ParallelCampaignTest, StreamedRecordingMatchesStoreByteForByte) {
-  // record()-into-a-writer must produce the exact file record()-into-a-
-  // store + save() produces, at every thread count: same fork discipline,
-  // same block schedule, chunks drained in block order.
+  // record() streams into a v2 writer; the file must be byte-identical at
+  // every thread count: per-trace forks, one block kernel, waves drained
+  // in trace order.
   const auto file_bytes = [](const std::string& path) {
     std::ifstream is(path, std::ios::binary);
     return std::string(std::istreambuf_iterator<char>(is),
                        std::istreambuf_iterator<char>());
   };
-  const auto record_file = [&](std::size_t threads, bool streamed,
-                               const std::string& path) {
+  const auto record_file = [&](std::size_t threads, const std::string& path) {
     lu::Rng rng(219);
     const lc::Key key = random_block(rng);
     lv::AesCoreModel aes(key, scenario_.aes_site(), scenario_.grid());
@@ -307,24 +277,17 @@ TEST_F(ParallelCampaignTest, StreamedRecordingMatchesStoreByteForByte) {
     rig.calibrate(rng);
     la::CampaignConfig config;
     config.threads = threads;
+    config.block_traces = 16;  // 150 traces: 9 full blocks and a ragged one
     la::TraceCampaign campaign(rig, aes, config);
-    const std::size_t samples =
-        (aes.cycles_per_encryption() + 2) * campaign.samples_per_cycle();
-    if (streamed) {
-      lsim::TraceStoreWriter writer(path, samples);
-      campaign.record(rng, 150, writer);
-      writer.finish();
-    } else {
-      lsim::TraceStore store(samples);
-      campaign.record(rng, 150, store);
-      store.save(path);
-    }
+    lsim::TraceStoreWriter writer(path, campaign.trace_samples());
+    campaign.record(rng, 150, writer);
+    writer.finish();
     return file_bytes(path);
   };
-  const std::string path = "/tmp/leakydsp_test_streamed_record.ldtr";
-  const auto via_store = record_file(1, false, path);
-  EXPECT_EQ(record_file(1, true, path), via_store);
-  EXPECT_EQ(record_file(4, true, path), via_store);
+  const std::string path = "/tmp/leakydsp_test_record_threads.ldtr";
+  const auto serial = record_file(1, path);
+  EXPECT_EQ(lsim::TraceStore::load(path).size(), 150u);
+  EXPECT_EQ(record_file(4, path), serial);
   std::remove(path.c_str());
 }
 

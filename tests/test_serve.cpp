@@ -26,6 +26,7 @@
 #include "serve/standard_jobs.h"
 #include "sim/trace_store.h"
 #include "util/contracts.h"
+#include "util/thread_pool.h"
 
 namespace la = leakydsp::attack;
 namespace ls = leakydsp::serve;
@@ -90,6 +91,18 @@ std::vector<char> file_bytes(const std::string& path) {
   EXPECT_TRUE(in.good()) << path;
   return {std::istreambuf_iterator<char>(in),
           std::istreambuf_iterator<char>()};
+}
+
+/// The trace file a standalone TraceCampaign::record() of `spec`'s world
+/// writes to `path`: the reference every scheduled record job must match.
+std::vector<char> standalone_record(const ls::StandardCampaignSpec& spec,
+                                    std::size_t traces,
+                                    const std::string& path) {
+  auto world = ls::make_standard_world(spec);
+  lsim::TraceStoreWriter writer(path, world->campaign().trace_samples());
+  world->campaign().record(world->rng(), traces, writer);
+  writer.finish();
+  return file_bytes(path);
 }
 
 /// Instruments job factories: factory calls, builds in flight, and live
@@ -335,20 +348,18 @@ TEST(CampaignServiceTest, RecordJobStreamsByteIdenticalTraceFile) {
   const TempDir dir("record");
   const auto spec = make_spec("rec", 4242, "");
   const std::string service_path = dir.path() + "/service.ldt";
-  const std::string standalone_path = dir.path() + "/standalone.ldt";
-  constexpr std::size_t kTraces = 100;
+  // Two full record waves, then a third of three whole blocks and a
+  // ragged one: exercises wave chaining and the short final block.
+  const std::size_t wave =
+      4 * lu::ThreadPool::hardware_threads() * spec.block_traces;
+  const std::size_t traces = 2 * wave + 3 * spec.block_traces + 5;
 
   ls::ServiceConfig config;
   config.threads = 3;
   config.max_resident = 4;
   ls::CampaignService service(config);
   ls::CampaignJob job = ls::make_standard_job(spec);
-  ls::RecordJobSpec record;
-  record.traces = kTraces;
-  record.out_path = service_path;
-  record.block_traces = 16;
-  record.wave_blocks = 3;  // 7 blocks -> 3 waves: exercises wave chaining
-  job.record = record;
+  job.record = ls::RecordJobSpec{traces, service_path};
   service.enqueue(std::move(job));
   // An attack job rides along so the record waves interleave with CPA
   // blocks on the same pool.
@@ -356,22 +367,117 @@ TEST(CampaignServiceTest, RecordJobStreamsByteIdenticalTraceFile) {
   service.enqueue(ls::make_standard_job(rider));
   const auto outcomes = service.drain();
   ASSERT_EQ(outcomes.size(), 2u);
-  EXPECT_EQ(outcomes[0].traces_recorded, kTraces);
+  EXPECT_EQ(outcomes[0].traces_recorded, traces);
+  EXPECT_GE(outcomes[0].steps, 3u) << "record job did not span three waves";
   EXPECT_TRUE(identical_results(outcomes[1].result,
                                 ls::run_standard_campaign(rider, 1)));
 
-  {
-    auto world = ls::make_standard_world(spec);
-    lsim::TraceStoreWriter writer(standalone_path,
-                                  world->campaign().trace_samples());
-    world->campaign().record(world->rng(), kTraces, writer);
-    writer.finish();
-  }
   const auto service_bytes = file_bytes(service_path);
-  const auto standalone_bytes = file_bytes(standalone_path);
   ASSERT_FALSE(service_bytes.empty());
-  EXPECT_EQ(service_bytes, standalone_bytes)
+  EXPECT_EQ(service_bytes,
+            standalone_record(spec, traces, dir.path() + "/standalone.ldt"))
       << "scheduled record stream is not byte-identical to record()";
+}
+
+TEST(CampaignServiceTest, RecordJobRunsThroughContendedEvictions) {
+  const TempDir dir("record_contended");
+  ls::ServiceConfig config;
+  config.threads = 4;
+  config.max_resident = 2;   // 5 jobs over 2 slots: attack jobs evict
+  config.quantum_steps = 1;  // yield after every boundary step
+  config.checkpoint_dir = dir.path();
+  ls::CampaignService service(config);
+
+  std::vector<ls::StandardCampaignSpec> attacks;
+  for (std::uint64_t seed = 1; seed <= 2; ++seed) {
+    attacks.push_back(
+        make_spec("a" + std::to_string(seed), seed * 61, dir.path()));
+    service.enqueue(ls::make_standard_job(attacks.back()));
+  }
+  // The record job queues behind two attack jobs and ahead of two more,
+  // so evicted campaigns cycle through the other slot while it records.
+  // It spans two waves: after the first, jobs are waiting, yet it must
+  // keep its slot.
+  const auto record_spec = make_spec("rec", 8080, dir.path());
+  const std::string record_path = dir.path() + "/service.ldt";
+  const std::size_t traces =
+      4 * lu::ThreadPool::hardware_threads() * record_spec.block_traces + 7;
+  ls::CampaignJob record_job = ls::make_standard_job(record_spec);
+  record_job.record = ls::RecordJobSpec{traces, record_path};
+  service.enqueue(std::move(record_job));
+  for (std::uint64_t seed = 3; seed <= 4; ++seed) {
+    attacks.push_back(
+        make_spec("a" + std::to_string(seed), seed * 61, dir.path()));
+    service.enqueue(ls::make_standard_job(attacks.back()));
+  }
+  const auto outcomes = service.drain();
+  ASSERT_EQ(outcomes.size(), 5u);
+  EXPECT_GT(service.stats().evictions, 0u) << "contended drain never evicted";
+
+  const ls::CampaignOutcome& recorded = outcomes[2];
+  EXPECT_EQ(recorded.id, record_spec.id);
+  EXPECT_EQ(recorded.evictions, 0u) << "a record job was evicted";
+  EXPECT_EQ(recorded.steps, 2u);
+  EXPECT_EQ(recorded.traces_recorded, traces);
+  // Record tasks never checkpoint: the v2 file is their only output.
+  EXPECT_FALSE(
+      la::TraceCampaign::checkpoint_exists(dir.path(), record_spec.id));
+  EXPECT_EQ(file_bytes(record_path),
+            standalone_record(record_spec, traces,
+                              dir.path() + "/standalone.ldt"))
+      << "record job under eviction pressure diverged from record()";
+
+  const std::size_t attack_slots[] = {0, 1, 3, 4};
+  for (std::size_t k = 0; k < attacks.size(); ++k) {
+    const ls::CampaignOutcome& outcome = outcomes[attack_slots[k]];
+    EXPECT_EQ(outcome.id, attacks[k].id);
+    EXPECT_TRUE(identical_results(outcome.result,
+                                  ls::run_standard_campaign(attacks[k], 1)))
+        << "attack job " << attacks[k].id << " diverged (evictions="
+        << outcome.evictions << ")";
+  }
+}
+
+TEST(CampaignServiceTest, RejectsRecordJobWithoutTraces) {
+  const TempDir dir("reject_traces");
+  ls::CampaignService service(ls::ServiceConfig{});
+  ls::CampaignJob job = ls::make_standard_job(make_spec("rec", 1, ""));
+  job.record = ls::RecordJobSpec{0, dir.path() + "/out.ldt"};
+  EXPECT_THROW(service.enqueue(std::move(job)), lu::PreconditionError);
+  EXPECT_EQ(service.queued(), 0u);
+}
+
+TEST(CampaignServiceTest, RejectsRecordJobWithoutOutPath) {
+  ls::CampaignService service(ls::ServiceConfig{});
+  ls::CampaignJob job = ls::make_standard_job(make_spec("rec", 1, ""));
+  job.record = ls::RecordJobSpec{64, ""};
+  EXPECT_THROW(service.enqueue(std::move(job)), lu::PreconditionError);
+  EXPECT_EQ(service.queued(), 0u);
+}
+
+TEST(CampaignServiceTest, RejectsResumedRecordJob) {
+  // A record job has no checkpoint to resume from: accepting the flag
+  // would silently restart it and truncate the file it promised to keep.
+  const TempDir dir("reject_resume");
+  ls::CampaignService service(ls::ServiceConfig{});
+  ls::CampaignJob job = ls::make_standard_job(make_spec("rec", 1, ""));
+  job.record = ls::RecordJobSpec{64, dir.path() + "/out.ldt"};
+  job.resume = true;
+  EXPECT_THROW(service.enqueue(std::move(job)), lu::PreconditionError);
+  EXPECT_EQ(service.queued(), 0u);
+}
+
+TEST(CampaignServiceTest, RejectsRecordJobsSharingOutPath) {
+  const TempDir dir("reject_shared");
+  ls::CampaignService service(ls::ServiceConfig{});
+  ls::CampaignJob first = ls::make_standard_job(make_spec("rec1", 1, ""));
+  first.record = ls::RecordJobSpec{64, dir.path() + "/out.ldt"};
+  service.enqueue(std::move(first));
+  // The same file spelled differently is still the same file.
+  ls::CampaignJob second = ls::make_standard_job(make_spec("rec2", 2, ""));
+  second.record = ls::RecordJobSpec{64, dir.path() + "/./out.ldt"};
+  EXPECT_THROW(service.enqueue(std::move(second)), lu::PreconditionError);
+  EXPECT_EQ(service.queued(), 1u);
 }
 
 TEST(CampaignServiceTest, RejectsDuplicateIdsAndDoubleDrain) {
