@@ -245,27 +245,9 @@ class ParallelCampaignTest : public ::testing::Test {
     return campaign.run(rng);
   }
 
-  lsim::Basys3Scenario scenario_;
-};
-
-TEST_F(ParallelCampaignTest, ResultIndependentOfThreadCount) {
-  const auto serial = run_with_threads(1);
-  EXPECT_TRUE(serial.broken);  // boosted leakage: the campaign does break
-  ASSERT_FALSE(serial.checkpoints.empty());
-  EXPECT_TRUE(identical_results(serial, run_with_threads(2)));
-  EXPECT_TRUE(identical_results(serial, run_with_threads(8)));
-}
-
-TEST_F(ParallelCampaignTest, RecordedTracesIndependentOfThreadCount) {
-  // record() streams into a v2 writer; the file must be byte-identical at
-  // every thread count: per-trace forks, one block kernel, waves drained
-  // in trace order.
-  const auto file_bytes = [](const std::string& path) {
-    std::ifstream is(path, std::ios::binary);
-    return std::string(std::istreambuf_iterator<char>(is),
-                       std::istreambuf_iterator<char>());
-  };
-  const auto record_file = [&](std::size_t threads, const std::string& path) {
+  // Records 150 traces into a v2 file at `path` and returns its bytes.
+  // Everything is rebuilt from the same seed, as in run_with_threads().
+  std::string record_file(std::size_t threads, const std::string& path) {
     lu::Rng rng(219);
     const lc::Key key = random_block(rng);
     lv::AesCoreModel aes(key, scenario_.aes_site(), scenario_.grid());
@@ -283,11 +265,55 @@ TEST_F(ParallelCampaignTest, RecordedTracesIndependentOfThreadCount) {
     campaign.record(rng, 150, writer);
     writer.finish();
     return file_bytes(path);
-  };
+  }
+
+  static std::string file_bytes(const std::string& path) {
+    std::ifstream is(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(is),
+                       std::istreambuf_iterator<char>());
+  }
+
+  lsim::Basys3Scenario scenario_;
+};
+
+TEST_F(ParallelCampaignTest, ResultIndependentOfThreadCount) {
+  const auto serial = run_with_threads(1);
+  EXPECT_TRUE(serial.broken);  // boosted leakage: the campaign does break
+  ASSERT_FALSE(serial.checkpoints.empty());
+  EXPECT_TRUE(identical_results(serial, run_with_threads(2)));
+  EXPECT_TRUE(identical_results(serial, run_with_threads(8)));
+}
+
+TEST_F(ParallelCampaignTest, RecordedTracesIndependentOfThreadCount) {
   const std::string path = "/tmp/leakydsp_test_record_threads.ldtr";
-  const auto serial = record_file(1, path);
-  EXPECT_EQ(lsim::TraceStore::load(path).size(), 150u);
-  EXPECT_EQ(record_file(4, path), serial);
+  record_file(1, path);
+  const auto serial = lsim::TraceStore::load(path);
+  record_file(4, path);
+  const auto parallel = lsim::TraceStore::load(path);
+  std::remove(path.c_str());
+  ASSERT_EQ(serial.size(), 150u);
+  ASSERT_EQ(parallel.size(), serial.size());
+  for (std::size_t t = 0; t < serial.size(); ++t) {
+    ASSERT_EQ(serial.trace(t).ciphertext, parallel.trace(t).ciphertext);
+    ASSERT_EQ(serial.trace(t).samples, parallel.trace(t).samples);
+  }
+}
+
+TEST_F(ParallelCampaignTest, StreamedRecordingMatchesStoreByteForByte) {
+  // record() streams into a v2 writer in waves; the file must be the exact
+  // file an in-memory TraceStore holding the same traces writes with
+  // save(), at every thread count: same fork discipline, waves drained in
+  // trace order.
+  const std::string path = "/tmp/leakydsp_test_streamed_record.ldtr";
+  const auto streamed = record_file(1, path);
+  const auto loaded = lsim::TraceStore::load(path);
+  lsim::TraceStore store(loaded.samples_per_trace());
+  for (std::size_t t = 0; t < loaded.size(); ++t) {
+    store.add(loaded.trace(t).ciphertext, loaded.trace(t).samples);
+  }
+  store.save(path);
+  EXPECT_EQ(file_bytes(path), streamed);
+  EXPECT_EQ(record_file(4, path), streamed);
   std::remove(path.c_str());
 }
 
