@@ -1,15 +1,16 @@
-// Multi-tenant engine demo: an AES server (bottom-left) and a bursty FIR
+// Multi-tenant demo: an AES server (bottom-left) and a bursty FIR
 // accelerator (top-right) share the PDN with an attacker holding *two*
-// LeakyDSP sensors, one next to each victim. Running the engine with the
+// LeakyDSP sensors, one next to each victim. Sampling both rigs with the
 // FIR tenant idle and then active shows each sensor responding chiefly to
 // its neighbour — spatial attribution through the shared supply.
 //
 //   $ ./example_multi_tenant
+#include <cstdint>
 #include <iostream>
-#include <memory>
+#include <vector>
 
 #include "core/leaky_dsp.h"
-#include "sim/engine.h"
+#include "pdn/grid.h"
 #include "sim/scenarios.h"
 #include "sim/sensor_rig.h"
 #include "stats/descriptive.h"
@@ -20,6 +21,8 @@
 using namespace leakydsp;
 
 namespace {
+
+constexpr std::size_t kSamples = 20000;
 
 struct RunStats {
   double near_aes_rms = 0.0;
@@ -44,24 +47,36 @@ int main() {
   rig_a.calibrate(rng);
   rig_f.calibrate(rng);
 
+  // Both rigs watch one shared tenant schedule: it is drawn once, in
+  // sample order, from rng.fork(0); rig r samples from rng.fork(r + 1).
+  const std::size_t aes_node = grid.node_of_site(scenario.aes_site());
+  const std::size_t fir_node = grid.node_of_site({52, 50});
   auto run = [&](bool fir_active) {
-    auto aes = std::make_shared<victim::AesStreamWorkload>(key);
-    auto fir = std::make_shared<victim::FirFilterWorkload>();
-    sim::Engine engine(grid);
-    engine.add_source(std::make_unique<sim::NodeSource>(
-        "aes", grid.node_of_site(scenario.aes_site()),
-        [aes](double t, util::Rng& r) { return aes->current_at(t, r); }));
-    if (fir_active) {
-      engine.add_source(std::make_unique<sim::NodeSource>(
-          "fir", grid.node_of_site({52, 50}),
-          [fir](double t, util::Rng& r) { return fir->current_at(t, r); }));
+    victim::AesStreamWorkload aes(key);
+    victim::FirFilterWorkload fir;
+    util::Rng source_rng = rng.fork(0);
+    std::vector<std::vector<pdn::CurrentInjection>> schedule(kSamples);
+    for (std::size_t s = 0; s < kSamples; ++s) {
+      const double t_ns =
+          static_cast<double>(s) * rig_a.params().sample_period_ns;
+      schedule[s].push_back({aes_node, aes.current_at(t_ns, source_rng)});
+      if (fir_active) {
+        schedule[s].push_back({fir_node, fir.current_at(t_ns, source_rng)});
+      }
     }
-    engine.add_rig(rig_a);
-    engine.add_rig(rig_f);
-    const auto results = engine.run(20000, rng);
+    auto rms = [&](sim::SensorRig& rig, std::uint64_t stream) {
+      rig.settle();
+      util::Rng rig_rng = rng.fork(stream);
+      std::size_t s = 0;
+      return stats::stddev(rig.collect(
+          kSamples, rig_rng,
+          [&](std::vector<pdn::CurrentInjection>& draws) {
+            draws = schedule[s++];
+          }));
+    };
     RunStats stats;
-    stats.near_aes_rms = stats::stddev(results[0].readouts);
-    stats.near_fir_rms = stats::stddev(results[1].readouts);
+    stats.near_aes_rms = rms(rig_a, 1);
+    stats.near_fir_rms = rms(rig_f, 2);
     return stats;
   };
 

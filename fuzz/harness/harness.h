@@ -38,4 +38,10 @@ int fuzz_cli(const std::uint8_t* data, std::size_t size);
 /// spec_to_json. Returns 0 always.
 int fuzz_device_spec(const std::uint8_t* data, std::size_t size);
 
+/// Feeds `data` as a raw request to obs::parse_request_line, the split the
+/// exposition server runs on every connection. A parsed line must have a
+/// space-free method and target, with path a prefix of target. Returns 0
+/// always.
+int fuzz_http(const std::uint8_t* data, std::size_t size);
+
 }  // namespace leakydsp::fuzz

@@ -35,6 +35,7 @@ TraceCampaign::TraceCampaign(sim::SensorRig& rig, victim::AesCoreModel& aes,
   LD_REQUIRE(config_.max_traces >= 1, "campaign needs traces");
   LD_REQUIRE(config_.break_check_stride >= 1, "bad break stride");
   LD_REQUIRE(config_.rank_stride >= 1, "bad rank stride");
+  LD_REQUIRE(config_.block_traces >= 1, "bad block size");
 
   const double sensor_period = rig.params().sample_period_ns;
   const double victim_period = aes.clock_period_ns();
@@ -573,7 +574,6 @@ TraceCampaign::Task TraceCampaign::load_task() const {
 TraceCampaign::StepPlan TraceCampaign::plan_step(Task& task,
                                                  bool stop_when_broken) const {
   LD_REQUIRE(task.state_ != nullptr, "plan_step on an empty task");
-  LD_REQUIRE(config_.block_traces >= 1, "bad block size");
   RunState& state = *task.state_;
   if (state.completed || state.stopped || state.t >= state.max_traces) {
     return StepPlan();

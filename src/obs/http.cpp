@@ -55,6 +55,21 @@ bool write_all(int fd, const char* data, std::size_t len) {
 
 }  // namespace
 
+std::optional<HttpRequest> parse_request_line(std::string_view request) {
+  const std::size_t line_end = request.find("\r\n");
+  if (line_end == std::string_view::npos) return std::nullopt;
+  const std::string_view line = request.substr(0, line_end);
+  const std::size_t sp1 = line.find(' ');
+  if (sp1 == std::string_view::npos) return std::nullopt;
+  const std::size_t sp2 = line.find(' ', sp1 + 1);
+  if (sp2 == std::string_view::npos) return std::nullopt;
+  HttpRequest req;
+  req.method = line.substr(0, sp1);
+  req.target = line.substr(sp1 + 1, sp2 - sp1 - 1);
+  req.path = req.target.substr(0, req.target.find('?'));
+  return req;
+}
+
 HttpServer::HttpServer(const std::string& bind_address, std::uint16_t port,
                        Handler handler)
     : handler_(std::move(handler)) {
@@ -137,32 +152,22 @@ void HttpServer::handle_connection(int fd) {
   }
 
   HttpResponse response;
-  const std::size_t line_end = request.find("\r\n");
-  const std::size_t sp1 = request.find(' ');
-  const std::size_t sp2 =
-      sp1 == std::string::npos ? std::string::npos : request.find(' ', sp1 + 1);
-  if (line_end == std::string::npos || sp1 == std::string::npos ||
-      sp2 == std::string::npos || sp2 > line_end) {
+  const std::optional<HttpRequest> req = parse_request_line(request);
+  if (!req.has_value()) {
     response.status = 400;
     response.body = "malformed request line\n";
+  } else if (req->method != "GET" && req->method != "HEAD") {
+    response.status = 405;
+    response.body = "only GET is served here\n";
   } else {
-    HttpRequest req;
-    req.method = request.substr(0, sp1);
-    req.target = request.substr(sp1 + 1, sp2 - sp1 - 1);
-    req.path = req.target.substr(0, req.target.find('?'));
-    if (req.method != "GET" && req.method != "HEAD") {
-      response.status = 405;
-      response.body = "only GET is served here\n";
-    } else {
-      try {
-        response = handler_(req);
-      } catch (const std::exception& e) {
-        response.status = 500;
-        response.content_type = "text/plain; charset=utf-8";
-        response.body = std::string("handler error: ") + e.what() + "\n";
-      }
-      if (req.method == "HEAD") response.body.clear();
+    try {
+      response = handler_(*req);
+    } catch (const std::exception& e) {
+      response.status = 500;
+      response.content_type = "text/plain; charset=utf-8";
+      response.body = std::string("handler error: ") + e.what() + "\n";
     }
+    if (req->method == "HEAD") response.body.clear();
   }
 
   std::string out = "HTTP/1.1 " + std::to_string(response.status) + " " +

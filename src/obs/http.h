@@ -15,7 +15,9 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
 
 namespace leakydsp::obs {
@@ -26,6 +28,12 @@ struct HttpRequest {
   std::string target;  ///< raw request target, e.g. "/metrics?x=1"
   std::string path;    ///< target with any query string stripped
 };
+
+/// Splits the request line, the bytes before the first CRLF, into method
+/// and target at its first two spaces. Returns nullopt (the server's 400)
+/// when there is no CRLF or fewer than two spaces before it. Pure, so the
+/// untrusted-byte surface can be fuzzed without a socket.
+std::optional<HttpRequest> parse_request_line(std::string_view request);
 
 /// One response; the server adds the status line, Content-Length and
 /// Connection: close framing.

@@ -6,7 +6,6 @@
 
 #include <array>
 #include <cstdint>
-#include <vector>
 
 namespace leakydsp::util {
 
@@ -78,19 +77,8 @@ class Rng {
   /// Bernoulli trial with probability p of true.
   bool bernoulli(double p);
 
-  /// Poisson-distributed count with the given mean (Knuth for small means,
-  /// normal approximation above 64).
-  unsigned poisson(double mean);
-
   /// Exponential inter-arrival time with the given rate (events per unit).
   double exponential(double rate);
-
-  /// Student-t distributed variate with `dof` degrees of freedom; used for
-  /// heavy-tailed measurement noise.
-  double student_t(double dof);
-
-  /// Fills `out` with independent random bytes.
-  void fill_bytes(std::vector<std::uint8_t>& out);
 
   /// Forks an independent child stream; children of distinct indices are
   /// decorrelated even for the same parent.

@@ -11,7 +11,7 @@
 //   campaign: max_traces = 1 runs (one trace, no break checks); a trace
 //   count that is not a multiple of the 64-trace block still checkpoints
 //   and resumes byte-identically; resume() with no checkpoint on disk
-//   raises CheckpointError.
+//   raises CheckpointError; block_traces = 0 is rejected at construction.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -27,6 +27,7 @@
 #include "sim/trace_store.h"
 #include "support/corruption.h"
 #include "util/byte_io.h"
+#include "util/contracts.h"
 #include "util/crc32.h"
 #include "util/rng.h"
 #include "victim/aes_core.h"
@@ -245,4 +246,18 @@ TEST(CampaignEdges, ResumeWithoutCheckpointThrowsTypedError) {
   EXPECT_THROW(
       harness.execute(50, 1, dir.path() + "/never_created", true),
       la::CheckpointError);
+}
+
+TEST(CampaignEdges, ZeroBlockTracesRejectedAtConstruction) {
+  // A zero block size must fail in the constructor: approx_task_bytes()
+  // divides by it, and the campaign service calls that on a worker thread
+  // before the first plan_step() could reject the config.
+  const lsim::Basys3Scenario scenario;
+  lv::AesCoreModel aes(lc::Key{}, scenario.aes_site(), scenario.grid());
+  lcore::LeakyDspSensor sensor(scenario.device(),
+                               scenario.attack_placements().front());
+  lsim::SensorRig rig(scenario.grid(), sensor);
+  la::CampaignConfig config;
+  config.block_traces = 0;
+  EXPECT_THROW(la::TraceCampaign(rig, aes, config), lu::PreconditionError);
 }

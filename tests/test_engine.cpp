@@ -1,12 +1,11 @@
-// Tests for the multi-tenant engine and the active-fence defender:
-// composition of concurrent tenants, equivalence with single-source rig
-// sampling, and fence statistics.
+// Tests for multi-tenant composition through SensorRig (concurrent
+// tenants, several rigs, workload draw functions) and the active-fence
+// defender's statistics.
 #include <gtest/gtest.h>
 
-#include <memory>
+#include <vector>
 
 #include "core/leaky_dsp.h"
-#include "sim/engine.h"
 #include "sim/scenarios.h"
 #include "sim/sensor_rig.h"
 #include "stats/descriptive.h"
@@ -28,59 +27,19 @@ class EngineTest : public ::testing::Test {
   lsim::Basys3Scenario scenario_;
 };
 
-TEST_F(EngineTest, RequiresRig) {
-  lsim::Engine engine(scenario_.grid());
-  lu::Rng rng(1);
-  EXPECT_THROW(engine.run(10, rng), lu::PreconditionError);
-}
-
-TEST_F(EngineTest, SingleSourceMatchesDirectRigSampling) {
-  const std::size_t node = scenario_.grid().node_of_site({30, 30});
-  auto modulator = [](double, lu::Rng&) { return 1.5; };
-
-  lcore::LeakyDspSensor sensor_a(scenario_.device(), {16, 20});
-  lsim::SensorRig rig_a(scenario_.grid(), sensor_a);
-  lsim::Engine engine(scenario_.grid());
-  engine.add_source(
-      std::make_unique<lsim::NodeSource>("victim", node, modulator));
-  engine.add_rig(rig_a);
-  lu::Rng rng_a(42);
-  const auto results = engine.run(200, rng_a);
-  ASSERT_EQ(results.size(), 1u);
-
-  lcore::LeakyDspSensor sensor_b(scenario_.device(), {16, 20});
-  lsim::SensorRig rig_b(scenario_.grid(), sensor_b);
-  // The engine's RNG contract: sources draw from rng.fork(0), rig r samples
-  // from rng.fork(r + 1). Reproduce rig 0's stream directly.
-  lu::Rng rng_b = lu::Rng(42).fork(1);
-  const std::vector<lp::CurrentInjection> draws = {{node, 1.5}};
-  const auto direct = rig_b.collect_constant(200, draws, rng_b);
-  EXPECT_EQ(results[0].readouts, direct);
-}
-
 TEST_F(EngineTest, ConcurrentTenantsSuperpose) {
   // Two tenants drawing together droop the sensor more than either alone.
   const std::size_t n1 = scenario_.grid().node_of_site({20, 10});
   const std::size_t n2 = scenario_.grid().node_of_site({40, 30});
-  auto steady = [](double current) {
-    return [current](double, lu::Rng&) { return current; };
-  };
   auto mean_with = [&](bool with_first, bool with_second) {
     lcore::LeakyDspSensor sensor(scenario_.device(), {16, 20});
     lsim::SensorRig rig(scenario_.grid(), sensor);
     lu::Rng rng(7);
     rig.calibrate(rng);
-    lsim::Engine engine(scenario_.grid());
-    if (with_first) {
-      engine.add_source(
-          std::make_unique<lsim::NodeSource>("t1", n1, steady(4.0)));
-    }
-    if (with_second) {
-      engine.add_source(
-          std::make_unique<lsim::NodeSource>("t2", n2, steady(4.0)));
-    }
-    engine.add_rig(rig);
-    return ls::mean(engine.run(800, rng)[0].readouts);
+    std::vector<lp::CurrentInjection> draws;
+    if (with_first) draws.push_back({n1, 4.0});
+    if (with_second) draws.push_back({n2, 4.0});
+    return ls::mean(rig.collect_constant(800, draws, rng));
   };
   const double both = mean_with(true, true);
   const double first = mean_with(true, false);
@@ -100,21 +59,19 @@ TEST_F(EngineTest, MultipleRigsSampleSameRun) {
   near_rig.calibrate(rng);
   far_rig.calibrate(rng);
 
-  lsim::Engine engine(scenario_.grid());
-  const std::size_t node = scenario_.grid().node_of_site({16, 10});
-  engine.add_source(std::make_unique<lsim::NodeSource>(
-      "victim", node, [](double, lu::Rng&) { return 8.0; }));
-  engine.add_rig(near_rig);
-  engine.add_rig(far_rig);
-  const auto results = engine.run(600, rng);
-  ASSERT_EQ(results.size(), 2u);
+  // Both rigs watch the same victim draw, each from its own noise stream.
+  const std::vector<lp::CurrentInjection> draws = {
+      {scenario_.grid().node_of_site({16, 10}), 8.0}};
+  lu::Rng near_rng = rng.fork(1);
+  lu::Rng far_rng = rng.fork(2);
+  const auto near = near_rig.collect_constant(600, draws, near_rng);
+  const auto far = far_rig.collect_constant(600, draws, far_rng);
   // The near sensor droops further below its idle point than the far one.
-  lcore::LeakyDspSensor ref(scenario_.device(), {16, 20});
-  EXPECT_LT(ls::mean(results[0].readouts), ls::mean(results[1].readouts));
+  EXPECT_LT(ls::mean(near), ls::mean(far));
 }
 
 TEST_F(EngineTest, WorkloadSourceAdapters) {
-  // Workloads plug into the engine through NodeSource closures.
+  // Workloads plug into a rig through collect()'s per-sample draw function.
   lv::FirFilterWorkload fir;
   const std::size_t node =
       scenario_.grid().node_of_site(scenario_.aes_site());
@@ -122,15 +79,16 @@ TEST_F(EngineTest, WorkloadSourceAdapters) {
   lsim::SensorRig rig(scenario_.grid(), sensor);
   lu::Rng rng(9);
   rig.calibrate(rng);
-  lsim::Engine engine(scenario_.grid());
-  engine.add_source(std::make_unique<lsim::NodeSource>(
-      "fir", node,
-      [&fir](double t, lu::Rng& r) { return fir.current_at(t, r); }));
-  engine.add_rig(rig);
-  const auto results = engine.run(2000, rng);
+  lu::Rng source_rng = rng.fork(0);
+  std::size_t s = 0;
+  const auto readouts =
+      rig.collect(2000, rng, [&](std::vector<lp::CurrentInjection>& draws) {
+        const double t_ns =
+            static_cast<double>(s++) * rig.params().sample_period_ns;
+        draws.push_back({node, fir.current_at(t_ns, source_rng)});
+      });
   // The burst structure shows up as bimodal readouts.
-  const double spread = ls::max_value(results[0].readouts) -
-                        ls::min_value(results[0].readouts);
+  const double spread = ls::max_value(readouts) - ls::min_value(readouts);
   EXPECT_GT(spread, 1.0);
 }
 

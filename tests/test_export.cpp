@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "obs/export.h"
+#include "obs/http.h"
 #include "obs/metrics.h"
 #include "serve/campaign_service.h"
 #include "serve/standard_jobs.h"
@@ -41,9 +42,9 @@ struct RegistryGuard {
   ~RegistryGuard() { lo::Registry::global().reset(); }
 };
 
-/// Minimal blocking HTTP GET against 127.0.0.1:port; returns the full
-/// response (status line + headers + body) or "" on connect failure.
-std::string http_get(std::uint16_t port, const std::string& path) {
+/// Sends raw `request` bytes to 127.0.0.1:port; returns the full response
+/// (status line + headers + body) or "" on connect failure.
+std::string http_send(std::uint16_t port, const std::string& request) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) return {};
   sockaddr_in addr{};
@@ -55,8 +56,6 @@ std::string http_get(std::uint16_t port, const std::string& path) {
     ::close(fd);
     return {};
   }
-  const std::string request =
-      "GET " + path + " HTTP/1.1\r\nHost: localhost\r\n\r\n";
   (void)::send(fd, request.data(), request.size(), 0);
   std::string response;
   char buf[2048];
@@ -66,6 +65,11 @@ std::string http_get(std::uint16_t port, const std::string& path) {
   }
   ::close(fd);
   return response;
+}
+
+std::string http_get(std::uint16_t port, const std::string& path) {
+  return http_send(port,
+                   "GET " + path + " HTTP/1.1\r\nHost: localhost\r\n\r\n");
 }
 
 int response_status(const std::string& response) {
@@ -360,6 +364,29 @@ TEST(ExportServer, ServesMetricsStatuszHealthzAndRejectsUnknown) {
   EXPECT_GE(server.requests_served(), 6u);
   server.stop();
   server.stop();  // idempotent
+}
+
+TEST(ExportServer, MalformedRequestLineIs400AndNonGetIs405) {
+  lo::ExpositionServer server(lo::ExpositionConfig{});
+  ASSERT_GT(server.port(), 0);
+  EXPECT_EQ(response_status(http_send(server.port(), "GET /x\r\n\r\n")),
+            400);
+  EXPECT_EQ(
+      response_status(http_send(server.port(), "POST / HTTP/1.1\r\n\r\n")),
+      405);
+  const std::string head =
+      http_send(server.port(), "HEAD /healthz?x=1 HTTP/1.1\r\n\r\n");
+  EXPECT_EQ(response_status(head), 200);
+  EXPECT_TRUE(response_body(head).empty());
+}
+
+TEST(HttpParse, SplitsTheFirstLineOnly) {
+  const auto req =
+      lo::parse_request_line("GET /metrics?a=b HTTP/1.1\r\nHost: x y\r\n");
+  ASSERT_TRUE(req.has_value());
+  EXPECT_EQ(req->method, "GET");
+  EXPECT_EQ(req->target, "/metrics?a=b");
+  EXPECT_EQ(req->path, "/metrics");
 }
 
 // ----------------------------------------------- scrape-while-drain oracle

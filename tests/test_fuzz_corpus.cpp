@@ -15,6 +15,7 @@
 #include "core/leaky_dsp.h"
 #include "fabric/device_spec.h"
 #include "harness/harness.h"
+#include "obs/http.h"
 #include "sim/scenarios.h"
 #include "sim/sensor_rig.h"
 #include "sim/trace_store.h"
@@ -69,6 +70,25 @@ TEST(FuzzCorpus, CliReplaysClean) {
 
 TEST(FuzzCorpus, DeviceSpecReplaysClean) {
   replay("device_spec", leakydsp::fuzz::fuzz_device_spec);
+}
+
+TEST(FuzzCorpus, HttpReplaysClean) {
+  replay("http", leakydsp::fuzz::fuzz_http);
+}
+
+TEST(FuzzCorpus, HttpSeedsSplitAsNamed) {
+  // valid_ seeds reach the split past the CRLF search; bad_ seeds are the
+  // server's 400 cases.
+  std::size_t valid = 0;
+  for (const auto& path : corpus_files("http")) {
+    SCOPED_TRACE(path);
+    const auto bytes = lt::read_file(path);
+    const std::string text(bytes.begin(), bytes.end());
+    const bool parsed = leakydsp::obs::parse_request_line(text).has_value();
+    EXPECT_EQ(parsed, path.find("valid_") != std::string::npos);
+    if (parsed) ++valid;
+  }
+  EXPECT_GE(valid, 2u);
 }
 
 TEST(FuzzCorpus, ValidDeviceSpecSeedsParse) {

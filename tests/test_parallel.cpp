@@ -1,14 +1,13 @@
 // Tests for the deterministic parallel execution layer: the ThreadPool
 // primitives, the blocked/mergeable CPA accumulators, and the contract
-// that campaign, trace recording and engine results never depend on the
-// thread count (DESIGN.md, "Threading model & determinism").
+// that campaign and trace recording results never depend on the thread
+// count (DESIGN.md, "Threading model & determinism").
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdio>
 #include <fstream>
 #include <iterator>
-#include <memory>
 #include <numeric>
 #include <stdexcept>
 #include <string>
@@ -17,7 +16,6 @@
 #include "attack/campaign.h"
 #include "attack/cpa.h"
 #include "core/leaky_dsp.h"
-#include "sim/engine.h"
 #include "sim/scenarios.h"
 #include "sim/sensor_rig.h"
 #include "sim/trace_store.h"
@@ -315,35 +313,4 @@ TEST_F(ParallelCampaignTest, StreamedRecordingMatchesStoreByteForByte) {
   EXPECT_EQ(file_bytes(path), streamed);
   EXPECT_EQ(record_file(4, path), streamed);
   std::remove(path.c_str());
-}
-
-// ----------------------------------------------- engine thread invariance
-
-TEST(ParallelEngine, ReadoutsIndependentOfThreadCount) {
-  lsim::Basys3Scenario scenario;
-  const std::size_t node = scenario.grid().node_of_site({16, 10});
-
-  const auto run_with_threads = [&](std::size_t threads) {
-    lcore::LeakyDspSensor near_sensor(scenario.device(), {16, 20});
-    lcore::LeakyDspSensor far_sensor(scenario.device(), {52, 56});
-    lsim::SensorRig near_rig(scenario.grid(), near_sensor);
-    lsim::SensorRig far_rig(scenario.grid(), far_sensor);
-    lu::Rng rng(8);
-    near_rig.calibrate(rng);
-    far_rig.calibrate(rng);
-    lsim::Engine engine(scenario.grid());
-    engine.add_source(std::make_unique<lsim::NodeSource>(
-        "victim", node, [](double, lu::Rng&) { return 8.0; }));
-    engine.add_rig(near_rig);
-    engine.add_rig(far_rig);
-    engine.set_threads(threads);
-    return engine.run(400, rng);
-  };
-
-  const auto serial = run_with_threads(1);
-  const auto parallel = run_with_threads(4);
-  ASSERT_EQ(serial.size(), parallel.size());
-  for (std::size_t r = 0; r < serial.size(); ++r) {
-    EXPECT_EQ(serial[r].readouts, parallel[r].readouts);
-  }
 }

@@ -111,11 +111,13 @@ INSTANTIATE_TEST_SUITE_P(
 
 // ------------------------------------------- LeakyDSP configuration sweep
 
+// The flag is a std::uint64_t, not a bool, for the same reason as PdnCase:
+// a bool would leave seven padding bytes in the printed name.
 struct LeakySweepCase {
   std::size_t n_dsp;
   double spread;
   double taper;
-  bool ultrascale;
+  std::uint64_t ultrascale;
 };
 
 class LeakySweep : public ::testing::TestWithParam<LeakySweepCase> {};
