@@ -7,6 +7,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <tuple>
 #include <utility>
 
 #include "core/leaky_dsp.h"
@@ -60,16 +61,25 @@ crypto::Key cell_key(std::uint64_t cell_seed) {
   return key;
 }
 
+/// The die `spec` describes and its PDN mesh.
+std::pair<std::shared_ptr<const fabric::Device>,
+          std::shared_ptr<const pdn::PdnGrid>>
+generate_die(const fabric::DeviceSpec& spec) {
+  auto device =
+      std::make_shared<const fabric::Device>(fabric::generate_device(spec));
+  auto grid = std::make_shared<const pdn::PdnGrid>(
+      *device, pdn::params_from_pad_spec(spec.pads));
+  return {std::move(device), std::move(grid)};
+}
+
 /// The sweep world, built in the standalone-run order (mirrors
-/// serve::StandardWorld): seed the cell RNG, draw the shared key, fork
-/// the per-sensor stream, build victim + sensor + rig, calibrate.
+/// serve::StandardWorld) on the spec's shared die: seed the cell RNG, draw
+/// the shared key, fork the per-sensor stream, build victim + sensor + rig,
+/// calibrate.
 class SweepWorld final : public serve::CampaignWorld {
  public:
-  explicit SweepWorld(const CellWorldSpec& spec) : rng_(spec.cell_seed) {
-    device_ = std::make_unique<fabric::Device>(
-        fabric::generate_device(spec.device_spec));
-    grid_ = std::make_unique<pdn::PdnGrid>(
-        *device_, pdn::params_from_pad_spec(spec.device_spec.pads));
+  explicit SweepWorld(const CellWorldSpec& spec)
+      : rng_(spec.cell_seed), device_(spec.device), grid_(spec.grid) {
     const crypto::Key key = [&] {
       crypto::Key k;
       for (auto& b : k) b = static_cast<std::uint8_t>(rng_() & 0xff);
@@ -88,7 +98,7 @@ class SweepWorld final : public serve::CampaignWorld {
     sensor_params.n_dsp = spec.cascade_dsps;
     sensor_ = std::make_unique<core::LeakyDspSensor>(
         *device_, spec.sensor_site, sensor_params);
-    rig_ = std::make_unique<sim::SensorRig>(*grid_, *sensor_);
+    rig_ = std::make_unique<sim::SensorRig>(*grid_, *sensor_, spec.gains);
     rig_->calibrate(rng_);
 
     attack::CampaignConfig config;
@@ -108,8 +118,8 @@ class SweepWorld final : public serve::CampaignWorld {
 
  private:
   util::Rng rng_;
-  std::unique_ptr<fabric::Device> device_;
-  std::unique_ptr<pdn::PdnGrid> grid_;
+  std::shared_ptr<const fabric::Device> device_;
+  std::shared_ptr<const pdn::PdnGrid> grid_;
   std::unique_ptr<victim::AesCoreModel> aes_;
   std::unique_ptr<core::LeakyDspSensor> sensor_;
   std::unique_ptr<sim::SensorRig> rig_;
@@ -126,11 +136,8 @@ SweepPlan plan_sweep(const SweepConfig& config) {
   LD_REQUIRE(config.cascade_dsps >= 1, "cascade needs at least one DSP");
 
   SweepPlan plan;
-  plan.device = std::make_shared<const fabric::Device>(
-      fabric::generate_device(config.spec));
+  std::tie(plan.device, plan.grid) = generate_die(config.spec);
   const fabric::Device& device = *plan.device;
-  plan.grid = std::make_shared<const pdn::PdnGrid>(
-      device, pdn::params_from_pad_spec(config.spec.pads));
   const pdn::PdnGrid& grid = *plan.grid;
 
   const int region_count = static_cast<int>(device.clock_regions().size());
@@ -153,15 +160,12 @@ SweepPlan plan_sweep(const SweepConfig& config) {
              "no DSP cascade fits on " << device.name());
 
   // One transfer solve per distinct sensor node across the whole plan:
-  // cells at different distances frequently share mesh nodes.
-  std::map<std::size_t, std::vector<double>> gain_cache;
+  // cells at different distances frequently share mesh nodes, and every
+  // world built from the plan borrows these vectors.
   const auto gains_for = [&](fabric::SiteCoord site) -> const auto& {
-    const std::size_t node = grid.node_of_site(site);
-    auto it = gain_cache.find(node);
-    if (it == gain_cache.end()) {
-      it = gain_cache.emplace(node, grid.transfer_gains(node)).first;
-    }
-    return it->second;
+    auto& gains = plan.sensor_gains[grid.node_of_site(site)];
+    if (gains == nullptr) gains = pdn::solve_gains(grid, site);
+    return *gains;
   };
 
   util::Rng root(config.seed);
@@ -244,7 +248,24 @@ SweepPlan plan_sweep(const SweepConfig& config) {
 
 std::unique_ptr<serve::CampaignWorld> make_sweep_world(
     const CellWorldSpec& spec) {
+  LD_REQUIRE(spec.device != nullptr && spec.grid != nullptr &&
+                 spec.gains != nullptr,
+             "world spec " << spec.campaign_id
+                           << " carries no die (device, mesh and gains)");
+  LD_REQUIRE(spec.device->width() == spec.device_spec.width &&
+                 spec.device->height() == spec.device_spec.height,
+             "world spec " << spec.campaign_id << " has a "
+                           << spec.device->width() << "x"
+                           << spec.device->height() << " die but describes "
+                           << spec.device_spec.width << "x"
+                           << spec.device_spec.height);
   return std::make_unique<SweepWorld>(spec);
+}
+
+CellWorldSpec with_generated_die(CellWorldSpec spec) {
+  std::tie(spec.device, spec.grid) = generate_die(spec.device_spec);
+  spec.gains = pdn::solve_gains(*spec.grid, spec.sensor_site);
+  return spec;
 }
 
 attack::CampaignResult run_sweep_campaign(const CellWorldSpec& spec,
@@ -267,8 +288,16 @@ CellWorldSpec cell_world_spec(const SweepConfig& config,
              "sensor " << k << " out of range");
   CellWorldSpec spec;
   spec.device_spec = config.spec;
+  spec.device = plan.device;
+  spec.grid = plan.grid;
   spec.victim_site = cell.victim_site;
   spec.sensor_site = cell.sensor_sites[static_cast<std::size_t>(k)];
+  const auto gains =
+      plan.sensor_gains.find(plan.grid->node_of_site(spec.sensor_site));
+  LD_REQUIRE(gains != plan.sensor_gains.end(),
+             "plan has no gains for sensor " << k << " of cell "
+                                             << cell_index);
+  spec.gains = gains->second;
   spec.cell_seed = cell.cell_seed;
   spec.sensor_index = k;
   spec.cascade_dsps = config.cascade_dsps;

@@ -19,6 +19,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -29,6 +30,7 @@
 #include "fabric/device_spec.h"
 #include "fabric/geometry.h"
 #include "fabric/pblock.h"
+#include "pdn/coupling.h"
 #include "pdn/grid.h"
 #include "serve/campaign_service.h"
 
@@ -76,12 +78,15 @@ struct SweepCell {
   std::vector<std::string> campaign_ids;  ///< "sweep-r<r>-c<c>-s<k>"
 };
 
-/// The expanded sweep: generated device, its PDN mesh, and every cell.
-/// The grid is shared (PdnGrid derives its shape from the device at
+/// The expanded sweep: generated device, its PDN mesh, the transfer gains
+/// of every sensor node, and every cell. All of it is immutable and shared
+/// by the cells' worlds (PdnGrid derives its shape from the device at
 /// construction and holds no reference back).
 struct SweepPlan {
   std::shared_ptr<const fabric::Device> device;
   std::shared_ptr<const pdn::PdnGrid> grid;
+  /// One solved gain vector per distinct sensor node, keyed by node.
+  std::map<std::size_t, pdn::SharedGains> sensor_gains;
   std::vector<SweepCell> cells;
 };
 
@@ -92,9 +97,14 @@ struct SweepPlan {
 SweepPlan plan_sweep(const SweepConfig& config);
 
 /// Everything one cell-sensor campaign world needs, captured by value so
-/// the service can rebuild the world on every admission and rehydration.
+/// the service can build the world on every admission and rehydration.
+/// The die, its mesh and the sensor's transfer gains are immutable and
+/// shared: every world built from the spec borrows the same objects.
 struct CellWorldSpec {
-  fabric::DeviceSpec device_spec;
+  fabric::DeviceSpec device_spec;  ///< what `device` was generated from
+  std::shared_ptr<const fabric::Device> device;
+  std::shared_ptr<const pdn::PdnGrid> grid;  ///< the mesh of `device`
+  pdn::SharedGains gains;  ///< transfer gains of sensor_site on `grid`
   fabric::SiteCoord victim_site;
   fabric::SiteCoord sensor_site;
   std::uint64_t cell_seed = 0;
@@ -106,16 +116,22 @@ struct CellWorldSpec {
   std::size_t threads = 1;  ///< standalone reference runs only
 };
 
-/// Deterministic world factory: generates the device, draws the cell key
-/// (shared by every sensor of the cell), forks the per-sensor stream,
-/// builds victim + sensor + calibrated rig. Campaigns built here keep
-/// their final CPA score vectors for fusion. Safe to call concurrently:
-/// every world owns its die and mesh, and the pdn::SolverContext cache
-/// they share is internally synchronized.
+/// Deterministic world factory: borrows the spec's die, mesh and gains,
+/// draws the cell key (shared by every sensor of the cell), forks the
+/// per-sensor stream, builds victim + sensor + calibrated rig. Campaigns
+/// built here keep their final CPA score vectors for fusion. Safe to call
+/// concurrently: the borrowed state is only read, and every world owns its
+/// victim, sensor and rig. Throws util::PreconditionError for a spec
+/// without a die or whose device dimensions disagree with device_spec.
 std::unique_ptr<serve::CampaignWorld> make_sweep_world(
     const CellWorldSpec& spec);
 
-/// The byte-identical baseline: rebuilds the same world and runs it
+/// `spec` with a die of its own: generates the device from
+/// spec.device_spec, builds its PDN mesh and solves the sensor's transfer
+/// gains, as plan_sweep does — for worlds described without a plan.
+CellWorldSpec with_generated_die(CellWorldSpec spec);
+
+/// The byte-identical baseline: builds the same world and runs it
 /// standalone (no checkpointing).
 attack::CampaignResult run_sweep_campaign(const CellWorldSpec& spec,
                                           std::size_t threads);

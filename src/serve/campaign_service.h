@@ -41,11 +41,13 @@
 
 namespace leakydsp::serve {
 
-/// Everything one campaign needs alive while resident: the owning world
-/// (device, grid, sensor, rig, AES model) plus the TraceCampaign bound to
-/// it. Factories must be deterministic — admission and every rehydration
-/// rebuild the world from scratch, and TraceCampaign::load_task() rejects
-/// a checkpoint whose campaign was configured differently.
+/// Everything one campaign needs alive while resident: the world (device,
+/// grid, sensor, rig, AES model) plus the TraceCampaign bound to it.
+/// Factories must be deterministic — admission and every rehydration build
+/// the world again, and TraceCampaign::load_task() rejects a checkpoint
+/// whose campaign was configured differently. Worlds may share immutable
+/// state (a die, its mesh, solved transfer gains) with each other, since
+/// workers build and run them concurrently; mutable state stays per world.
 class CampaignWorld {
  public:
   virtual ~CampaignWorld() = default;

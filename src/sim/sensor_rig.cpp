@@ -1,5 +1,7 @@
 #include "sim/sensor_rig.h"
 
+#include <utility>
+
 #include "obs/span.h"
 #include "util/contracts.h"
 
@@ -7,10 +9,13 @@ namespace leakydsp::sim {
 
 SensorRig::SensorRig(const pdn::PdnGrid& grid, sensors::VoltageSensor& sensor,
                      RigParams params)
-    : grid_(grid),
-      sensor_(&sensor),
+    : SensorRig(grid, sensor, pdn::solve_gains(grid, sensor.site()), params) {}
+
+SensorRig::SensorRig(const pdn::PdnGrid& grid, sensors::VoltageSensor& sensor,
+                     pdn::SharedGains gains, RigParams params)
+    : sensor_(&sensor),
       params_(params),
-      coupling_(grid, sensor.site()),
+      coupling_(grid, sensor.site(), std::move(gains)),
       filter_(params.dynamics, params.sample_period_ns),
       ambient_(params.ambient_sigma_v, params.ambient_correlation_ns,
                params.sample_period_ns) {

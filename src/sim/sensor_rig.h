@@ -30,8 +30,14 @@ struct RigParams {
 /// A sensor attached to the PDN at its die location.
 class SensorRig {
  public:
+  /// Solves the transfer gains of the sensor's site on `grid`.
   SensorRig(const pdn::PdnGrid& grid, sensors::VoltageSensor& sensor,
             RigParams params = {});
+
+  /// Borrows transfer gains already solved for the sensor's site on `grid`
+  /// (see pdn::SensorCoupling).
+  SensorRig(const pdn::PdnGrid& grid, sensors::VoltageSensor& sensor,
+            pdn::SharedGains gains, RigParams params = {});
 
   const RigParams& params() const { return params_; }
   const pdn::SensorCoupling& coupling() const { return coupling_; }
@@ -111,7 +117,6 @@ class SensorRig {
   }
 
  private:
-  const pdn::PdnGrid& grid_;
   sensors::VoltageSensor* sensor_;
   RigParams params_;
   pdn::SensorCoupling coupling_;

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "attack/campaign.h"
@@ -244,6 +245,7 @@ GoldenFile generated_die_corpus() {
   world_spec.campaign.break_check_stride = 75;
   world_spec.campaign.rank_stride = 150;
   world_spec.campaign.stop_when_broken = false;
+  world_spec = scenario::with_generated_die(std::move(world_spec));
 
   GoldenFile golden;
   {

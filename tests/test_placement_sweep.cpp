@@ -1,22 +1,33 @@
 // Placement sweeps on generated dies: plan determinism, placement
 // constraints (distinct clock regions, non-overlapping cascades), the
 // byte-identity of service-drained cells vs standalone reruns (including
-// the final CPA score vectors), and score fusion.
+// the final CPA score vectors), worlds on the plan's shared die vs worlds
+// built from scratch, and score fusion.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <filesystem>
+#include <memory>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "attack/campaign.h"
+#include "core/leaky_dsp.h"
 #include "crypto/aes128.h"
 #include "fabric/device_spec.h"
+#include "pdn/coupling.h"
+#include "pdn/grid.h"
 #include "scenario/placement_sweep.h"
 #include "serve/campaign_service.h"
+#include "sim/sensor_rig.h"
 #include "util/contracts.h"
+#include "util/rng.h"
+#include "victim/aes_core.h"
 
 namespace fb = leakydsp::fabric;
+namespace lp = leakydsp::pdn;
 namespace sc = leakydsp::scenario;
 
 namespace {
@@ -67,6 +78,40 @@ void expect_identical(const leakydsp::attack::CampaignResult& a,
   for (std::size_t i = 0; i < a.final_scores.size(); ++i) {
     ASSERT_EQ(a.final_scores[i], b.final_scores[i]) << "score index " << i;
   }
+}
+
+/// The cell-sensor campaign of `spec` on a die, mesh and gains of its own,
+/// built with the public constructors in the sweep world's rng order.
+leakydsp::attack::CampaignResult run_on_fresh_die(const sc::CellWorldSpec& spec) {
+  const fb::Device device = fb::generate_device(spec.device_spec);
+  const lp::PdnGrid grid(device,
+                         lp::params_from_pad_spec(spec.device_spec.pads));
+  leakydsp::util::Rng rng(spec.cell_seed);
+  leakydsp::crypto::Key key;
+  for (auto& b : key) b = static_cast<std::uint8_t>(rng() & 0xff);
+  rng = rng.fork(static_cast<std::uint64_t>(spec.sensor_index));
+
+  leakydsp::victim::AesCoreParams aes_params;
+  aes_params.clock_mhz = spec.campaign.victim_clock_mhz;
+  aes_params.current_per_hd_bit = spec.campaign.current_per_hd_bit;
+  leakydsp::victim::AesCoreModel aes(key, spec.victim_site, grid, aes_params);
+  leakydsp::core::LeakyDspParams sensor_params;
+  sensor_params.n_dsp = spec.cascade_dsps;
+  leakydsp::core::LeakyDspSensor sensor(device, spec.sensor_site,
+                                        sensor_params);
+  leakydsp::sim::SensorRig rig(grid, sensor);
+  rig.calibrate(rng);
+
+  leakydsp::attack::CampaignConfig config;
+  config.max_traces = spec.campaign.max_traces;
+  config.break_check_stride = spec.campaign.break_check_stride;
+  config.rank_stride = spec.campaign.rank_stride;
+  config.block_traces = spec.campaign.block_traces;
+  config.threads = spec.threads;
+  config.campaign_id = spec.campaign_id;
+  config.keep_final_scores = true;
+  leakydsp::attack::TraceCampaign campaign(rig, aes, config);
+  return campaign.run(rng, spec.campaign.stop_when_broken);
 }
 
 }  // namespace
@@ -217,4 +262,88 @@ TEST(PlacementSweep, CellWorldSpecMatchesPlan) {
   EXPECT_EQ(spec.campaign_id, plan.cells[1].campaign_ids[1]);
   EXPECT_TRUE(fb::parse_device_spec(fb::spec_to_json(spec.device_spec)) ==
               spec.device_spec);
+  // The world borrows the plan's own die and mesh, and the gains the plan
+  // solved for the sensor's node.
+  EXPECT_EQ(spec.device.get(), plan.device.get());
+  EXPECT_EQ(spec.grid.get(), plan.grid.get());
+  ASSERT_NE(spec.gains, nullptr);
+  EXPECT_EQ(*spec.gains,
+            plan.grid->transfer_gains(plan.grid->node_of_site(spec.sensor_site)));
+}
+
+TEST(PlacementSweep, SharedDieMatchesFreshBuild) {
+  const sc::SweepConfig config = small_config(/*k=*/2);
+  const sc::SweepPlan plan = sc::plan_sweep(config);
+  for (std::size_t i = 0; i < plan.cells.size(); ++i) {
+    for (int k = 0; k < 2; ++k) {
+      SCOPED_TRACE("cell " + std::to_string(i) + " sensor " +
+                   std::to_string(k));
+      const sc::CellWorldSpec spec = sc::cell_world_spec(config, plan, i, k);
+      auto world = sc::make_sweep_world(spec);
+      const auto shared = world->campaign().run(
+          world->rng(), spec.campaign.stop_when_broken);
+      expect_identical(shared, run_on_fresh_die(spec));
+    }
+  }
+}
+
+TEST(PlacementSweep, ConcurrentDrainOnSharedDieMatchesFreshBuild) {
+  // Four workers build and run worlds on one Device, PdnGrid and set of
+  // gain vectors at once (the TSan leg runs this), with evictions.
+  const std::string ckpt = fresh_dir("leakydsp_sweep_concurrent");
+  sc::SweepConfig config = small_config(/*k=*/2);
+  config.checkpoint_dir = ckpt;
+
+  leakydsp::serve::ServiceConfig service;
+  service.threads = 4;
+  service.max_resident = 3;
+  service.quantum_steps = 1;
+  service.checkpoint_dir = ckpt;
+
+  const sc::SweepOutcome outcome = sc::run_sweep(config, service);
+  ASSERT_EQ(outcome.cells.size(), 4u);
+  for (std::size_t i = 0; i < outcome.cells.size(); ++i) {
+    for (int k = 0; k < 2; ++k) {
+      SCOPED_TRACE("cell " + std::to_string(i) + " sensor " +
+                   std::to_string(k));
+      expect_identical(
+          outcome.cells[i].per_sensor[static_cast<std::size_t>(k)],
+          run_on_fresh_die(sc::cell_world_spec(config, outcome.plan, i, k)));
+    }
+  }
+  std::filesystem::remove_all(ckpt);
+}
+
+TEST(PlacementSweep, CouplingRejectsWrongSizeGains) {
+  const sc::SweepPlan plan = sc::plan_sweep(small_config());
+  const fb::SiteCoord site = plan.cells[0].sensor_sites[0];
+  const auto short_gains = std::make_shared<const std::vector<double>>(
+      plan.grid->node_count() - 1, 0.0);
+  EXPECT_THROW(lp::SensorCoupling(*plan.grid, site, short_gains),
+               leakydsp::util::PreconditionError);
+  EXPECT_THROW(lp::SensorCoupling(*plan.grid, site, nullptr),
+               leakydsp::util::PreconditionError);
+}
+
+TEST(PlacementSweep, WorldSpecWithoutDieRejected) {
+  const sc::SweepConfig config = small_config();
+  const sc::SweepPlan plan = sc::plan_sweep(config);
+  sc::CellWorldSpec spec = sc::cell_world_spec(config, plan, 0, 0);
+  spec.device.reset();
+  EXPECT_THROW(sc::make_sweep_world(spec), leakydsp::util::PreconditionError);
+
+  // A die that is not the one device_spec describes is rejected too.
+  spec = sc::cell_world_spec(config, plan, 0, 0);
+  spec.device_spec.width += 16;
+  EXPECT_THROW(sc::make_sweep_world(spec), leakydsp::util::PreconditionError);
+
+  // with_generated_die gives a plan-less spec its own die, mesh and gains.
+  sc::CellWorldSpec planless = sc::cell_world_spec(config, plan, 0, 0);
+  planless.device.reset();
+  planless.grid.reset();
+  planless.gains.reset();
+  planless = sc::with_generated_die(std::move(planless));
+  EXPECT_NE(planless.device.get(), plan.device.get());
+  EXPECT_EQ(planless.grid->node_count(), plan.grid->node_count());
+  EXPECT_EQ(*planless.gains, *sc::cell_world_spec(config, plan, 0, 0).gains);
 }

@@ -6,7 +6,7 @@
 //
 //   leakydsp_serve --campaigns 64                 # drain 64 campaigns
 //   leakydsp_serve --campaigns 64 --resume        # continue a killed run
-//   leakydsp_serve --campaigns 8 --max-resident 2 --budget-mb 4 \
+//   leakydsp_serve --campaigns 8 --max-resident 2 --budget-mb 4
 //                  --quantum 1 --threads 4        # tight-residency smoke
 //   leakydsp_serve --campaigns 64 --metrics-port 9090
 //       # live /metrics, /statusz and /healthz on 127.0.0.1:9090 while
