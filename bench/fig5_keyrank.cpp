@@ -89,7 +89,7 @@ int run(int argc, char** argv) {
     }
     heat_table.row()
         .add(order + 1)
-        .add("P" + std::to_string(i + 1))
+        .add(std::string("P").append(std::to_string(i + 1)))
         .add(heat[order].first, 1)
         .add(correct);
   }
@@ -113,7 +113,9 @@ int run(int argc, char** argv) {
   std::cout << "\n--- Fig. 5(b): log2 key-rank bounds [lower, upper] vs "
                "traces ---\n";
   std::vector<std::string> headers{"traces"};
-  for (const auto i : selected) headers.push_back("P" + std::to_string(i + 1));
+  for (const auto i : selected) {
+    headers.push_back(std::string("P").append(std::to_string(i + 1)));
+  }
   util::Table curves(headers);
   const std::size_t checkpoints = results[selected[0]].checkpoints.size();
   for (std::size_t c = 0; c < checkpoints; ++c) {
@@ -121,8 +123,11 @@ int run(int argc, char** argv) {
     row.add(util::format_count(results[selected[0]].checkpoints[c].traces));
     for (const auto i : selected) {
       const auto& cp = results[i].checkpoints[c];
-      row.add("[" + util::format_double(cp.rank.log2_lower, 1) + ", " +
-              util::format_double(cp.rank.log2_upper, 1) + "]");
+      row.add(std::string("[")
+                  .append(util::format_double(cp.rank.log2_lower, 1))
+                  .append(", ")
+                  .append(util::format_double(cp.rank.log2_upper, 1))
+                  .append("]"));
     }
   }
   curves.print(std::cout);

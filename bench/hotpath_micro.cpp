@@ -8,6 +8,9 @@
 //   calibrate    — LeakyDSP calibration on the per-bit reference loop vs
 //                  calibrate(), which skips out-of-reach jitter
 //   cpa          — CpaAttack add_trace loop vs batched GEMM vs kSimd kernel
+//   key_rank     — the dense Histogram::convolve chain vs
+//                  estimate_key_rank's tail-only SIMD convolution, on the
+//                  final scores of an unbroken and a broken campaign
 //
 //   $ ./hotpath_micro [--quick]
 //
@@ -21,6 +24,7 @@
 #include <vector>
 
 #include "attack/cpa.h"
+#include "attack/key_rank.h"
 #include "core/leaky_dsp.h"
 #include "crypto/aes128.h"
 #include "obs/obs.h"
@@ -31,6 +35,7 @@
 #include "util/cli.h"
 #include "util/rng.h"
 #include "util/table.h"
+#include "verify/key_rank_reference.h"
 #include "verify/leakydsp_reference.h"
 
 using namespace leakydsp;
@@ -276,6 +281,33 @@ int run(int argc, char** argv) {
     });
     record("cpa_add_traces", "add_trace_loop", loop, "gemm_batch", gemm_res);
     record("cpa_add_traces", "gemm_batch", gemm_res, "simd_kernel", simd_res);
+  }
+
+  // ---- key rank: dense convolution chain vs tail-only gather kernel ----
+  {
+    // Final scores of two 1,024-trace Basys3 campaigns: at the default
+    // victim current (log2 rank ~124) and at 20x it (rank ~1). Ops are
+    // whole 16-byte rank estimates at the default 512 bins.
+    for (const auto& [kernel, current_scale] :
+         {std::pair<const char*, double>{"key_rank_unbroken", 1.0},
+          std::pair<const char*, double>{"key_rank_broken", 20.0}}) {
+      const auto [scores, truth] =
+          verify::campaign_rank_scores(scenario, 1024, current_scale, 12);
+      const auto reference = run_bench(10 * kScale, [&](std::size_t n) {
+        for (std::size_t r = 0; r < n; ++r) {
+          g_sink = verify::reference_estimate_key_rank(scores, truth)
+                       .log2_upper;
+        }
+        return n;
+      });
+      const auto fast = run_bench(10 * kScale, [&](std::size_t n) {
+        for (std::size_t r = 0; r < n; ++r) {
+          g_sink = attack::estimate_key_rank_general(scores, truth).log2_upper;
+        }
+        return n;
+      });
+      record(kernel, "dense_reference", reference, "tail_gather", fast);
+    }
   }
 
   std::cout << "=== hot-path microbenchmarks"

@@ -179,8 +179,10 @@ int run(int argc, char** argv) {
 
       table.row()
           .add(die_name)
-          .add("r" + std::to_string(cell.row) + "c" +
-               std::to_string(cell.col))
+          .add(std::string("r")
+                   .append(std::to_string(cell.row))
+                   .append("c")
+                   .append(std::to_string(cell.col)))
           .add(cell.distances[0], 1)
           .add(cell.coupling_gains[0], 6)
           .add(campaign.broken ? 1 : 0)
@@ -191,8 +193,10 @@ int run(int argc, char** argv) {
       report.row()
           .set("section", "sweep")
           .set("die", die_name)
-          .set("cell", "r" + std::to_string(cell.row) + "c" +
-                           std::to_string(cell.col))
+          .set("cell", std::string("r")
+                           .append(std::to_string(cell.row))
+                           .append("c")
+                           .append(std::to_string(cell.col)))
           .set("row", static_cast<std::uint64_t>(cell.row))
           .set("col", static_cast<std::uint64_t>(cell.col))
           .set("target_distance", cell.target_distance)

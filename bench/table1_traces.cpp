@@ -18,6 +18,7 @@
 // BENCH_table1_traces.json.
 #include <chrono>
 #include <iostream>
+#include <string>
 
 #include "attack/campaign.h"
 #include "core/leaky_dsp.h"
@@ -35,6 +36,15 @@
 using namespace leakydsp;
 
 namespace {
+
+/// "(x,y)"
+std::string site_label(fabric::SiteCoord site) {
+  return std::string("(")
+      .append(std::to_string(site.x))
+      .append(",")
+      .append(std::to_string(site.y))
+      .append(")");
+}
 
 int run(int argc, char** argv) {
   const util::Cli cli(argc, argv,
@@ -131,14 +141,14 @@ int run(int argc, char** argv) {
     core::LeakyDspSensor sensor(scenario.device(), site);
     sim::SensorRig rig(scenario.grid(), sensor);
     rig.calibrate(run_rng);
-    const std::string label = "P" + std::to_string(i + 1);
+    const std::string label = std::string("P").append(std::to_string(i + 1));
     attack::TraceCampaign campaign(rig, aes, placement_config(label));
     const auto result = timed_run(campaign, run_rng, label);
 
     const pdn::SensorCoupling coupling(scenario.grid(), site);
     table.row()
-        .add("P" + std::to_string(i + 1) + " " + paper_notes[i])
-        .add("(" + std::to_string(site.x) + "," + std::to_string(site.y) + ")")
+        .add(label + " " + paper_notes[i])
+        .add(site_label(site))
         .add(coupling.gain_at_node(aes_node) * 1e6, 0)
         .add(result.broken ? util::format_count(result.traces_to_break)
                            : ("not broken in " +
@@ -162,8 +172,7 @@ int run(int argc, char** argv) {
     const pdn::SensorCoupling coupling(scenario.grid(), tdc_site);
     table.row()
         .add("TDC")
-        .add("(" + std::to_string(tdc_site.x) + "," +
-             std::to_string(tdc_site.y) + ")")
+        .add(site_label(tdc_site))
         .add(coupling.gain_at_node(aes_node) * 1e6, 0)
         .add(result.broken ? util::format_count(result.traces_to_break)
                            : ("not broken in " +

@@ -72,8 +72,11 @@ int run(int argc, char** argv) {
   for (const auto& cp : result.checkpoints) {
     table.row()
         .add(util::format_count(cp.traces))
-        .add("[" + util::format_double(cp.rank.log2_lower, 1) + ", " +
-             util::format_double(cp.rank.log2_upper, 1) + "]")
+        .add(std::string("[")
+                 .append(util::format_double(cp.rank.log2_lower, 1))
+                 .append(", ")
+                 .append(util::format_double(cp.rank.log2_upper, 1))
+                 .append("]"))
         .add(cp.correct_bytes);
   }
   table.print(std::cout);

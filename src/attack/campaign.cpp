@@ -689,7 +689,11 @@ bool TraceCampaign::finish_step(Task& task, StepPlan&& plan) const {
     const auto scores = state.cpa.snapshot();
     Checkpoint cp;
     cp.traces = state.t;
-    cp.rank = estimate_key_rank(scores, true_rk10, config_.rank_params);
+    {
+      OBS_SPAN("campaign.rank_check");
+      OBS_COUNT("campaign.rank_checks", 1);
+      cp.rank = estimate_key_rank(scores, true_rk10, config_.rank_params);
+    }
     const auto recovered = state.cpa.recovered_round_key();
     for (int b = 0; b < 16; ++b) {
       if (recovered[static_cast<std::size_t>(b)] ==

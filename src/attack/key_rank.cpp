@@ -7,87 +7,69 @@
 
 #include "stats/histogram.h"
 #include "util/contracts.h"
+#include "util/simd_ops.h"
 
 namespace leakydsp::attack {
 
-namespace {
+namespace detail {
 
-/// Per-byte log2-probabilities from sharpened, normalized scores.
-std::vector<std::array<double, 256>> to_log_likelihoods(
-    const std::vector<std::array<double, 256>>& scores,
-    const KeyRankParams& params, double& ll_min, double& ll_max) {
-  std::vector<std::array<double, 256>> ll(scores.size());
-  ll_min = std::numeric_limits<double>::max();
-  ll_max = std::numeric_limits<double>::lowest();
-  for (std::size_t b = 0; b < scores.size(); ++b) {
-    double norm = 0.0;
-    std::array<double, 256> p{};
-    for (int g = 0; g < 256; ++g) {
-      const double s = scores[b][static_cast<std::size_t>(g)] + params.epsilon;
-      p[static_cast<std::size_t>(g)] = std::pow(s, params.gamma);
-      norm += p[static_cast<std::size_t>(g)];
-    }
-    for (int g = 0; g < 256; ++g) {
-      const double v = std::log2(p[static_cast<std::size_t>(g)] / norm);
-      ll[b][static_cast<std::size_t>(g)] = v;
-      ll_min = std::min(ll_min, v);
-      ll_max = std::max(ll_max, v);
-    }
-  }
-  return ll;
-}
-
-}  // namespace
-
-KeyRankBounds estimate_key_rank_general(
-    const std::vector<std::array<double, 256>>& scores,
-    const std::vector<std::uint8_t>& truth, KeyRankParams params) {
+RankGeometry rank_geometry(const std::vector<std::array<double, 256>>& scores,
+                           const std::vector<std::uint8_t>& truth,
+                           const KeyRankParams& params) {
   LD_REQUIRE(!scores.empty() && scores.size() <= 16,
              "byte count " << scores.size() << " out of 1..16");
   LD_REQUIRE(truth.size() == scores.size(), "truth size mismatch");
   LD_REQUIRE(params.bins >= 64, "too few histogram bins");
   LD_REQUIRE(params.gamma > 0.0, "gamma must be positive");
 
-  double ll_min = 0.0;
-  double ll_max = 0.0;
-  const auto ll = to_log_likelihoods(scores, params, ll_min, ll_max);
-  const std::size_t n_bytes = scores.size();
+  // Per-byte log2-probabilities from sharpened, normalized scores.
+  RankGeometry geo;
+  geo.ll.resize(scores.size());
+  double ll_min = std::numeric_limits<double>::max();
+  double ll_max = std::numeric_limits<double>::lowest();
+  for (std::size_t b = 0; b < scores.size(); ++b) {
+    double norm = 0.0;
+    std::array<double, 256> p{};
+    for (std::size_t g = 0; g < 256; ++g) {
+      p[g] = std::pow(scores[b][g] + params.epsilon, params.gamma);
+      norm += p[g];
+    }
+    for (std::size_t g = 0; g < 256; ++g) {
+      const double v = std::log2(p[g] / norm);
+      geo.ll[b][g] = v;
+      ll_min = std::min(ll_min, v);
+      ll_max = std::max(ll_max, v);
+    }
+  }
 
   // Shared bin geometry so per-byte histograms convolve exactly.
   const double width = (ll_max - ll_min) / static_cast<double>(params.bins);
   LD_ENSURE(width > 0.0, "degenerate score distribution");
-  const double lo = ll_min - 0.5 * width;
-  const double hi = ll_max + 0.5 * width;
-  const std::size_t bins = params.bins + 1;
+  geo.lo = ll_min - 0.5 * width;
+  geo.hi = ll_max + 0.5 * width;
+  geo.bins = params.bins + 1;
+  return geo;
+}
 
-  std::size_t true_bin_sum = 0;
-  stats::Histogram joint(lo, hi, bins);
-  {
-    stats::Histogram first(lo, hi, bins);
-    for (int g = 0; g < 256; ++g) {
-      first.add(ll[0][static_cast<std::size_t>(g)]);
-    }
-    joint = first;
-    true_bin_sum += first.bin_index(ll[0][truth[0]]);
-  }
-  for (std::size_t b = 1; b < n_bytes; ++b) {
-    stats::Histogram h(lo, hi, bins);
-    for (int g = 0; g < 256; ++g) {
-      h.add(ll[b][static_cast<std::size_t>(g)]);
-    }
-    joint = joint.convolve(h);
-    true_bin_sum += h.bin_index(ll[b][truth[b]]);
-  }
-
+KeyRankBounds rank_bounds(const double* joint, std::size_t joint_bins,
+                          std::size_t true_bin_sum, std::size_t n_bytes) {
   // Quantization slack: each byte contributes at most one bin of error.
   const std::size_t slack = n_bytes;
   const std::size_t upper_from =
       true_bin_sum > slack ? true_bin_sum - slack : 0;
   const std::size_t lower_from =
-      std::min(true_bin_sum + slack, joint.bins() - 1);
+      std::min(true_bin_sum + slack, joint_bins - 1);
+  LD_REQUIRE(upper_from < joint_bins,
+             "true bin sum " << true_bin_sum << " past the joint histogram");
 
-  const double upper_rank = 1.0 + joint.mass_at_or_above(upper_from);
-  const double lower_rank = 1.0 + joint.mass_above(lower_from);
+  double at_or_above = 0.0;
+  for (std::size_t k = upper_from; k < joint_bins; ++k) {
+    at_or_above += joint[k];
+  }
+  double above = 0.0;
+  for (std::size_t k = lower_from + 1; k < joint_bins; ++k) above += joint[k];
+  const double upper_rank = 1.0 + at_or_above;
+  const double lower_rank = 1.0 + above;
 
   const double max_log2 = 8.0 * static_cast<double>(n_bytes);
   KeyRankBounds bounds;
@@ -98,6 +80,55 @@ KeyRankBounds estimate_key_rank_general(
     std::swap(bounds.log2_lower, bounds.log2_upper);
   }
   return bounds;
+}
+
+}  // namespace detail
+
+KeyRankBounds estimate_key_rank_general(
+    const std::vector<std::array<double, 256>>& scores,
+    const std::vector<std::uint8_t>& truth, KeyRankParams params) {
+  const detail::RankGeometry geo =
+      detail::rank_geometry(scores, truth, params);
+  const std::size_t n_bytes = scores.size();
+  const std::size_t bins = geo.bins;
+  const stats::Histogram grid(geo.lo, geo.hi, bins);  // bin_index only
+
+  std::size_t true_bin_sum = 0;
+  for (std::size_t b = 0; b < n_bytes; ++b) {
+    true_bin_sum += grid.bin_index(geo.ll[b][truth[b]]);
+  }
+  const std::size_t upper_from =
+      true_bin_sum > n_bytes ? true_bin_sum - n_bytes : 0;
+
+  // Scratch: two joint buffers (the level being read and the one being
+  // written) and one per-byte histogram inside convolve_gather's padding.
+  constexpr std::size_t kPad = util::simd::kConvolvePad;
+  const std::size_t final_bins = n_bytes * (bins - 1) + 1;
+  std::vector<double> joint(final_bins);
+  std::vector<double> next(final_bins);
+  std::vector<double> padded(bins + 2 * kPad);
+  double* const byte_hist = padded.data() + kPad;
+  const auto fill_byte_hist = [&](std::size_t b) {
+    std::fill(byte_hist, byte_hist + bins, 0.0);
+    for (const double v : geo.ll[b]) byte_hist[grid.bin_index(v)] += 1.0;
+  };
+
+  fill_byte_hist(0);
+  std::copy(byte_hist, byte_hist + bins, joint.begin());
+  std::size_t joint_bins = bins;
+  for (std::size_t b = 1; b < n_bytes; ++b) {
+    fill_byte_hist(b);
+    // The bytes after b add at most `reach` bins, so lower bins of this
+    // level can never land at or above upper_from.
+    const std::size_t reach = (n_bytes - 1 - b) * (bins - 1);
+    const std::size_t from = upper_from > reach ? upper_from - reach : 0;
+    const std::size_t out_bins = joint_bins + bins - 1;
+    util::simd::convolve_gather(joint.data(), joint_bins, byte_hist, bins,
+                                next.data(), from, out_bins);
+    joint.swap(next);
+    joint_bins = out_bins;
+  }
+  return detail::rank_bounds(joint.data(), joint_bins, true_bin_sum, n_bytes);
 }
 
 KeyRankBounds estimate_key_rank(const std::array<ByteScores, 16>& scores,

@@ -4,6 +4,16 @@
 // convolving per-byte histograms; the rank of the true key is bounded by
 // counting mass above the true key's bin, padded by the quantization slack
 // of one bin per byte in each direction.
+//
+// Which bins get computed: the bounds read only the final joint histogram
+// from upper_from = true_bin_sum - n_bytes upward, and a joint bin after
+// byte b can still reach the final bin k only if it is at least
+// k - (n_bytes - 1 - b) * (bins - 1). So the true key's bin sum is found
+// first, and each convolution level computes just the bins at or above
+// that threshold with util::simd::convolve_gather. Every computed bin is
+// bit-identical to the dense chain of stats::Histogram::convolve calls,
+// which stays the reference (verify/key_rank_reference.h): on a broken key
+// almost nothing is computed, on an unbroken one about two thirds.
 #pragma once
 
 #include <array>
@@ -43,6 +53,30 @@ KeyRankBounds estimate_key_rank(const std::array<ByteScores, 16>& scores,
 KeyRankBounds estimate_key_rank_general(
     const std::vector<std::array<double, 256>>& scores,
     const std::vector<std::uint8_t>& truth, KeyRankParams params = {});
+
+namespace detail {
+
+/// The estimator's front end, shared with its dense reference: per-byte
+/// sharpened log2-probabilities and the one bin geometry every per-byte
+/// histogram uses, so they convolve exactly. `bins` = params.bins + 1.
+struct RankGeometry {
+  std::vector<std::array<double, 256>> ll;  ///< ll[b][g] = log2 P(g)
+  double lo = 0.0;
+  double hi = 0.0;
+  std::size_t bins = 0;
+};
+
+/// Validates the arguments of estimate_key_rank_general and bins them.
+RankGeometry rank_geometry(const std::vector<std::array<double, 256>>& scores,
+                           const std::vector<std::uint8_t>& truth,
+                           const KeyRankParams& params);
+
+/// Rank bounds from the final joint histogram `joint[0, joint_bins)` of
+/// `n_bytes` bytes. Reads only joint[k] for k >= true_bin_sum - n_bytes.
+KeyRankBounds rank_bounds(const double* joint, std::size_t joint_bins,
+                          std::size_t true_bin_sum, std::size_t n_bytes);
+
+}  // namespace detail
 
 /// Exact rank of the true key by full enumeration, feasible for up to 3
 /// bytes (256^3 combinations): 1 + number of keys with a strictly larger

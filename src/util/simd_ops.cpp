@@ -98,6 +98,18 @@ void hermite_eval_scalar(const HermiteView& t, const double* v, double* out,
   }
 }
 
+void convolve_gather_scalar(const double* a, std::size_t na, const double* b,
+                            std::size_t nb, double* out, std::size_t k_begin,
+                            std::size_t k_end) {
+  for (std::size_t k = k_begin; k < k_end; ++k) {
+    const std::size_t i_lo = k >= nb ? k - (nb - 1) : 0;
+    const std::size_t i_hi = std::min(k, na - 1);
+    double acc = 0.0;
+    for (std::size_t i = i_lo; i <= i_hi; ++i) acc = acc + a[i] * b[k - i];
+    out[k] = acc;
+  }
+}
+
 }  // namespace detail
 
 std::size_t count_le(const double* a, std::size_t n, double bound) {
@@ -268,6 +280,23 @@ void hermite_eval(const HermiteView& t, const double* v, double* out,
 #endif
     default:
       return detail::hermite_eval_scalar(t, v, out, n);
+  }
+}
+
+void convolve_gather(const double* a, std::size_t na, const double* b,
+                     std::size_t nb, double* out, std::size_t k_begin,
+                     std::size_t k_end) {
+  switch (current_simd_tier()) {
+#ifdef LEAKYDSP_SIMD_AVX512
+    case SimdTier::kAvx512:
+      return detail::convolve_gather_avx512(a, na, b, nb, out, k_begin, k_end);
+#endif
+#ifdef LEAKYDSP_SIMD_AVX2
+    case SimdTier::kAvx2:
+      return detail::convolve_gather_avx2(a, na, b, nb, out, k_begin, k_end);
+#endif
+    default:
+      return detail::convolve_gather_scalar(a, na, b, nb, out, k_begin, k_end);
   }
 }
 

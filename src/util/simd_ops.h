@@ -90,6 +90,27 @@ void spmv(const std::size_t* row_start, const std::size_t* cols,
 void hermite_eval(const HermiteView& t, const double* v, double* out,
                   std::size_t n);
 
+/// Zero padding convolve_gather needs on each side of `b`.
+inline constexpr std::size_t kConvolvePad = 64;
+
+/// Gather-form discrete convolution over an output range: for each k in
+/// [k_begin, k_end), out[k] = sum of a[i] * b[k - i] over i ascending from
+/// max(0, k - (nb - 1)) to min(k, na - 1), starting from +0.0 with every
+/// product and every add individually rounded. Per output bin that is
+/// exactly the order stats::Histogram::convolve's scatter loop adds in.
+/// Only out[k_begin, k_end) is written, and a[i] is read only for i >=
+/// k_begin - (nb - 1), so bins below that may hold anything.
+///
+/// Requires k_end <= na + nb - 1, finite a and b, and kConvolvePad
+/// readable +0.0 entries on each side of b (b[-kConvolvePad..-1] and
+/// b[nb..nb + kConvolvePad)). The vector tiers run whole output tiles
+/// over the union of their lanes' i ranges and let the padding supply the
+/// out-of-range terms: each is a[i] * 0 = ±0, which leaves a running sum
+/// that starts at +0.0 unchanged, so every tier is bit-identical.
+void convolve_gather(const double* a, std::size_t na, const double* b,
+                     std::size_t nb, double* out, std::size_t k_begin,
+                     std::size_t k_end);
+
 namespace detail {
 
 // Per-tier entry points. The public functions above dispatch on
@@ -113,6 +134,9 @@ void spmv_scalar(const std::size_t* row_start, const std::size_t* cols,
                  std::size_t n_rows);
 void hermite_eval_scalar(const HermiteView& t, const double* v, double* out,
                          std::size_t n);
+void convolve_gather_scalar(const double* a, std::size_t na, const double* b,
+                            std::size_t nb, double* out, std::size_t k_begin,
+                            std::size_t k_end);
 
 /// Shared by every dot tier: the eight partial sums (element i accumulates
 /// into acc[i mod 8]) combine in this fixed tree. Vector tiers resume their
@@ -141,6 +165,9 @@ void spmv_avx2(const std::size_t* row_start, const std::size_t* cols,
                std::size_t n_rows);
 void hermite_eval_avx2(const HermiteView& t, const double* v, double* out,
                        std::size_t n);
+void convolve_gather_avx2(const double* a, std::size_t na, const double* b,
+                          std::size_t nb, double* out, std::size_t k_begin,
+                          std::size_t k_end);
 #endif
 
 #ifdef LEAKYDSP_SIMD_AVX512
@@ -162,6 +189,9 @@ void spmv_avx512(const std::size_t* row_start, const std::size_t* cols,
                  std::size_t n_rows);
 void hermite_eval_avx512(const HermiteView& t, const double* v, double* out,
                          std::size_t n);
+void convolve_gather_avx512(const double* a, std::size_t na, const double* b,
+                            std::size_t nb, double* out, std::size_t k_begin,
+                            std::size_t k_end);
 #endif
 
 }  // namespace detail

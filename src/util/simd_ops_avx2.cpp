@@ -14,6 +14,7 @@
 #include <immintrin.h>
 
 #include <algorithm>
+#include <cstddef>
 
 namespace leakydsp::util::simd::detail {
 
@@ -179,6 +180,9 @@ void hermite_eval_avx2(const HermiteView& t, const double* v, double* out,
   const __m256d two = _mm256_set1_pd(2.0);
   const __m256d three = _mm256_set1_pd(3.0);
   const __m256d minus_two = _mm256_set1_pd(-2.0);
+  // Full-mask gathers: the unmasked intrinsics start from an undefined
+  // register, which gcc 12 reports as -Wmaybe-uninitialized.
+  const __m256d all = _mm256_castsi256_pd(_mm256_set1_epi64x(-1));
   std::size_t i = 0;
   for (; i + 4 <= n; i += 4) {
     __m256d s = _mm256_mul_pd(_mm256_sub_pd(_mm256_loadu_pd(v + i), v_lo),
@@ -187,10 +191,10 @@ void hermite_eval_avx2(const HermiteView& t, const double* v, double* out,
     __m256d fj = _mm256_round_pd(s, _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC);
     fj = _mm256_min_pd(fj, last);
     const __m128i idx = _mm256_cvttpd_epi32(fj);
-    const __m256d fi = _mm256_i32gather_pd(t.f, idx, 8);
-    const __m256d fi1 = _mm256_i32gather_pd(t.f + 1, idx, 8);
-    const __m256d di = _mm256_i32gather_pd(t.d, idx, 8);
-    const __m256d di1 = _mm256_i32gather_pd(t.d + 1, idx, 8);
+    const __m256d fi = _mm256_mask_i32gather_pd(zero, t.f, idx, all, 8);
+    const __m256d fi1 = _mm256_mask_i32gather_pd(zero, t.f + 1, idx, all, 8);
+    const __m256d di = _mm256_mask_i32gather_pd(zero, t.d, idx, all, 8);
+    const __m256d di1 = _mm256_mask_i32gather_pd(zero, t.d + 1, idx, all, 8);
     const __m256d tt = _mm256_sub_pd(s, fj);
     const __m256d t2 = _mm256_mul_pd(tt, tt);
     const __m256d t3 = _mm256_mul_pd(t2, tt);
@@ -208,6 +212,47 @@ void hermite_eval_avx2(const HermiteView& t, const double* v, double* out,
     _mm256_storeu_pd(out + i, r);
   }
   hermite_eval_scalar(t, v + i, out + i, n - i);
+}
+
+namespace {
+
+/// Output bins [k0, k0 + 4 * R) of convolve_gather: R accumulators of
+/// 4 lanes each, one broadcast of a[i] per step over the union of the
+/// lanes' i ranges. Lanes outside their own range read b's zero padding.
+template <std::size_t R>
+void convolve_tile_avx2(const double* a, std::size_t na, const double* b,
+                        std::size_t nb, double* out, std::size_t k0) {
+  constexpr std::size_t kLanes = 4 * R;
+  static_assert(kLanes - 1 <= kConvolvePad, "tile overruns b's padding");
+  const std::size_t i_lo = k0 >= nb ? k0 - (nb - 1) : 0;
+  const std::size_t i_hi = std::min(k0 + kLanes - 1, na - 1);
+  __m256d acc[R];
+  for (std::size_t r = 0; r < R; ++r) acc[r] = _mm256_setzero_pd();
+  for (std::size_t i = i_lo; i <= i_hi; ++i) {
+    const __m256d ai = _mm256_set1_pd(a[i]);
+    const double* bk = b + (static_cast<std::ptrdiff_t>(k0) -
+                            static_cast<std::ptrdiff_t>(i));
+    for (std::size_t r = 0; r < R; ++r) {
+      acc[r] = _mm256_add_pd(acc[r],
+                             _mm256_mul_pd(ai, _mm256_loadu_pd(bk + 4 * r)));
+    }
+  }
+  for (std::size_t r = 0; r < R; ++r) {
+    _mm256_storeu_pd(out + k0 + 4 * r, acc[r]);
+  }
+}
+
+}  // namespace
+
+void convolve_gather_avx2(const double* a, std::size_t na, const double* b,
+                          std::size_t nb, double* out, std::size_t k_begin,
+                          std::size_t k_end) {
+  std::size_t k = k_begin;
+  for (; k + 32 <= k_end; k += 32) {
+    convolve_tile_avx2<8>(a, na, b, nb, out, k);
+  }
+  for (; k + 4 <= k_end; k += 4) convolve_tile_avx2<1>(a, na, b, nb, out, k);
+  convolve_gather_scalar(a, na, b, nb, out, k, k_end);
 }
 
 }  // namespace leakydsp::util::simd::detail

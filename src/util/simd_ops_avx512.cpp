@@ -8,6 +8,7 @@
 #include <immintrin.h>
 
 #include <algorithm>
+#include <cstddef>
 
 namespace leakydsp::util::simd::detail {
 
@@ -159,19 +160,22 @@ void hermite_eval_avx512(const HermiteView& t, const double* v, double* out,
   const __m512d two = _mm512_set1_pd(2.0);
   const __m512d three = _mm512_set1_pd(3.0);
   const __m512d minus_two = _mm512_set1_pd(-2.0);
+  // Full-mask forms throughout: the unmasked intrinsics pass an undefined
+  // source register, which gcc 12 reports as -Wmaybe-uninitialized.
+  constexpr __mmask8 kAll = 0xFF;
   std::size_t i = 0;
   for (; i + 8 <= n; i += 8) {
     __m512d s = _mm512_mul_pd(_mm512_sub_pd(_mm512_loadu_pd(v + i), v_lo),
                               inv_h);
-    s = _mm512_max_pd(s, zero);
-    __m512d fj =
-        _mm512_roundscale_pd(s, _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC);
-    fj = _mm512_min_pd(fj, last);
-    const __m256i idx = _mm512_cvttpd_epi32(fj);
-    const __m512d fi = _mm512_i32gather_pd(idx, t.f, 8);
-    const __m512d fi1 = _mm512_i32gather_pd(idx, t.f + 1, 8);
-    const __m512d di = _mm512_i32gather_pd(idx, t.d, 8);
-    const __m512d di1 = _mm512_i32gather_pd(idx, t.d + 1, 8);
+    s = _mm512_maskz_max_pd(kAll, s, zero);
+    __m512d fj = _mm512_maskz_roundscale_pd(
+        kAll, s, _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC);
+    fj = _mm512_maskz_min_pd(kAll, fj, last);
+    const __m256i idx = _mm512_maskz_cvttpd_epi32(kAll, fj);
+    const __m512d fi = _mm512_mask_i32gather_pd(zero, kAll, idx, t.f, 8);
+    const __m512d fi1 = _mm512_mask_i32gather_pd(zero, kAll, idx, t.f + 1, 8);
+    const __m512d di = _mm512_mask_i32gather_pd(zero, kAll, idx, t.d, 8);
+    const __m512d di1 = _mm512_mask_i32gather_pd(zero, kAll, idx, t.d + 1, 8);
     const __m512d tt = _mm512_sub_pd(s, fj);
     const __m512d t2 = _mm512_mul_pd(tt, tt);
     const __m512d t3 = _mm512_mul_pd(t2, tt);
@@ -189,6 +193,47 @@ void hermite_eval_avx512(const HermiteView& t, const double* v, double* out,
     _mm512_storeu_pd(out + i, r);
   }
   hermite_eval_scalar(t, v + i, out + i, n - i);
+}
+
+namespace {
+
+/// Output bins [k0, k0 + 8 * R) of convolve_gather: R accumulators of
+/// 8 lanes each, one broadcast of a[i] per step over the union of the
+/// lanes' i ranges. Lanes outside their own range read b's zero padding.
+template <std::size_t R>
+void convolve_tile_avx512(const double* a, std::size_t na, const double* b,
+                          std::size_t nb, double* out, std::size_t k0) {
+  constexpr std::size_t kLanes = 8 * R;
+  static_assert(kLanes - 1 <= kConvolvePad, "tile overruns b's padding");
+  const std::size_t i_lo = k0 >= nb ? k0 - (nb - 1) : 0;
+  const std::size_t i_hi = std::min(k0 + kLanes - 1, na - 1);
+  __m512d acc[R];
+  for (std::size_t r = 0; r < R; ++r) acc[r] = _mm512_setzero_pd();
+  for (std::size_t i = i_lo; i <= i_hi; ++i) {
+    const __m512d ai = _mm512_set1_pd(a[i]);
+    const double* bk = b + (static_cast<std::ptrdiff_t>(k0) -
+                            static_cast<std::ptrdiff_t>(i));
+    for (std::size_t r = 0; r < R; ++r) {
+      acc[r] = _mm512_add_pd(acc[r],
+                             _mm512_mul_pd(ai, _mm512_loadu_pd(bk + 8 * r)));
+    }
+  }
+  for (std::size_t r = 0; r < R; ++r) {
+    _mm512_storeu_pd(out + k0 + 8 * r, acc[r]);
+  }
+}
+
+}  // namespace
+
+void convolve_gather_avx512(const double* a, std::size_t na, const double* b,
+                            std::size_t nb, double* out, std::size_t k_begin,
+                            std::size_t k_end) {
+  std::size_t k = k_begin;
+  for (; k + 64 <= k_end; k += 64) {
+    convolve_tile_avx512<8>(a, na, b, nb, out, k);
+  }
+  for (; k + 8 <= k_end; k += 8) convolve_tile_avx512<1>(a, na, b, nb, out, k);
+  convolve_gather_scalar(a, na, b, nb, out, k, k_end);
 }
 
 }  // namespace leakydsp::util::simd::detail

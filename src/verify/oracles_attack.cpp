@@ -4,23 +4,31 @@
 //   - the N-thread campaign vs the 1-thread campaign (bit-identical by the
 //     determinism contract),
 //   - a campaign killed at a generated point and resumed from its durable
-//     checkpoint vs an uninterrupted straight run (bit-identical).
+//     checkpoint vs an uninterrupted straight run (bit-identical),
+//   - the tail-pruned key-rank estimator vs the dense convolution chain
+//     (bit-identical bounds).
+#include <array>
 #include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <limits>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "attack/campaign.h"
 #include "attack/cpa.h"
+#include "attack/key_rank.h"
 #include "core/leaky_dsp.h"
 #include "crypto/aes128.h"
 #include "sim/scenarios.h"
 #include "sim/sensor_rig.h"
+#include "stats/histogram.h"
+#include "verify/key_rank_reference.h"
 #include "verify/oracle.h"
 #include "victim/aes_core.h"
 
@@ -362,7 +370,177 @@ Property<CampaignCase> campaign_resume_property() {
   return prop;
 }
 
+// ------------------------------------------- key rank vs dense reference
+
+enum class RankScoreShape : std::int64_t {
+  kFlat = 0,
+  kPeaked = 1,
+  kCampaign = 2
+};
+
+struct KeyRankCase {
+  std::int64_t n_bytes = 16;
+  std::int64_t bins = 512;
+  std::int64_t shape = 0;  ///< RankScoreShape
+  std::uint64_t seed = 0;
+};
+
+std::string describe_key_rank(const KeyRankCase& c) {
+  static const char* const kShapes[] = {"flat", "peaked", "campaign"};
+  std::ostringstream oss;
+  oss << "{n_bytes=" << c.n_bytes << " bins=" << c.bins
+      << " shape=" << kShapes[c.shape] << " seed=" << c.seed << "}";
+  return oss.str();
+}
+
+/// Three real campaigns' final scores: 128 and 6,144 traces at the
+/// default victim current (log2 rank ~127 and ~82) and 1,024 traces at 20x
+/// it (rank ~1). Built once per process.
+const std::vector<RankScoreSet>& campaign_score_sets() {
+  static const std::vector<RankScoreSet> sets = [] {
+    const std::pair<std::size_t, double> runs[] = {
+        {128, 1.0}, {6144, 1.0}, {1024, 20.0}};
+    std::vector<RankScoreSet> out;
+    for (const auto& [traces, current_scale] : runs) {
+      out.push_back(campaign_rank_scores(shared_scenario(), traces,
+                                         current_scale, 0x4B52ULL + traces));
+    }
+    return out;
+  }();
+  return sets;
+}
+
+Property<KeyRankCase> key_rank_property() {
+  Property<KeyRankCase> prop;
+  prop.name = "attack.key_rank_fast_vs_reference";
+  prop.generate = [](util::Rng& rng) {
+    KeyRankCase c;
+    c.n_bytes = gen_int(rng, 1, 16);
+    c.bins = gen_int(rng, 64, 1024);
+    c.shape = gen_int(rng, 0, 2);
+    c.seed = rng();
+    return c;
+  };
+  prop.shrink = [](const KeyRankCase& c) {
+    std::vector<KeyRankCase> out;
+    for (const std::int64_t n : shrink_int(c.n_bytes, 1)) {
+      KeyRankCase s = c;
+      s.n_bytes = n;
+      out.push_back(s);
+    }
+    for (const std::int64_t bins : shrink_int(c.bins, 64)) {
+      KeyRankCase s = c;
+      s.bins = bins;
+      out.push_back(s);
+    }
+    return out;
+  };
+  prop.describe = describe_key_rank;
+  prop.check = [](const KeyRankCase& c) -> CheckOutcome {
+    const std::size_t n = static_cast<std::size_t>(c.n_bytes);
+    util::Rng rng(c.seed);
+    std::vector<std::array<double, 256>> scores(n);
+    std::vector<std::uint8_t> truth(n);
+    for (auto& t : truth) t = static_cast<std::uint8_t>(rng() & 0xff);
+    switch (static_cast<RankScoreShape>(c.shape)) {
+      case RankScoreShape::kFlat:
+        for (auto& row : scores) {
+          for (auto& s : row) s = rng.uniform(0.01, 0.02);
+        }
+        break;
+      case RankScoreShape::kPeaked:
+        // Some bytes peak on the truth, some on a wrong guess, some flat,
+        // so generated keys range from rank 1 to fully unknown.
+        for (std::size_t b = 0; b < n; ++b) {
+          for (auto& s : scores[b]) s = rng.uniform(0.01, 0.03);
+          const double kind = rng.uniform();
+          const std::size_t peak =
+              kind < 0.6 ? truth[b] : static_cast<std::size_t>(rng() & 0xff);
+          if (kind < 0.85) scores[b][peak] += rng.uniform(0.02, 0.9);
+        }
+        break;
+      case RankScoreShape::kCampaign: {
+        const auto& sets = campaign_score_sets();
+        const RankScoreSet& set = sets[rng() % sets.size()];
+        const bool real_key = rng.bernoulli(0.5);
+        for (std::size_t b = 0; b < n; ++b) {
+          const std::size_t src = (b + rng() % 16) % 16;
+          scores[b] = set.scores[src];
+          if (real_key) truth[b] = set.truth[src];
+        }
+        break;
+      }
+    }
+    attack::KeyRankParams params;
+    params.bins = static_cast<std::size_t>(c.bins);
+    const auto fast = attack::estimate_key_rank_general(scores, truth, params);
+    const auto reference = reference_estimate_key_rank(scores, truth, params);
+    if (std::memcmp(&fast.log2_lower, &reference.log2_lower,
+                    sizeof(double)) != 0 ||
+        std::memcmp(&fast.log2_upper, &reference.log2_upper,
+                    sizeof(double)) != 0) {
+      std::ostringstream oss;
+      oss.precision(17);
+      oss << "bounds differ: fast [" << fast.log2_lower << ", "
+          << fast.log2_upper << "] vs reference [" << reference.log2_lower
+          << ", " << reference.log2_upper << "]";
+      return fail(oss.str());
+    }
+    return pass();
+  };
+  return prop;
+}
+
 }  // namespace
+
+attack::KeyRankBounds reference_estimate_key_rank(
+    const std::vector<std::array<double, 256>>& scores,
+    const std::vector<std::uint8_t>& truth, attack::KeyRankParams params) {
+  const auto geo = attack::detail::rank_geometry(scores, truth, params);
+  std::size_t true_bin_sum = 0;
+  stats::Histogram joint(geo.lo, geo.hi, geo.bins);
+  for (std::size_t b = 0; b < scores.size(); ++b) {
+    stats::Histogram h(geo.lo, geo.hi, geo.bins);
+    for (const double v : geo.ll[b]) h.add(v);
+    joint = b == 0 ? h : joint.convolve(h);
+    true_bin_sum += h.bin_index(geo.ll[b][truth[b]]);
+  }
+  return attack::detail::rank_bounds(joint.counts().data(), joint.bins(),
+                                     true_bin_sum, scores.size());
+}
+
+RankScoreSet campaign_rank_scores(const sim::Basys3Scenario& scenario,
+                                  std::size_t traces, double current_scale,
+                                  std::uint64_t seed) {
+  util::Rng rng(seed);
+  crypto::Key key;
+  for (auto& b : key) b = static_cast<std::uint8_t>(rng() & 0xff);
+  victim::AesCoreParams aes_params;
+  aes_params.current_per_hd_bit *= current_scale;
+  victim::AesCoreModel aes(key, scenario.aes_site(), scenario.grid(),
+                           aes_params);
+  core::LeakyDspSensor sensor(
+      scenario.device(),
+      scenario.attack_placements()[sim::Basys3Scenario::kBestPlacementIndex]);
+  sim::SensorRig rig(scenario.grid(), sensor);
+  rig.calibrate(rng);
+  attack::CampaignConfig config;
+  config.max_traces = traces;
+  config.break_check_stride = traces;
+  config.rank_stride = traces;
+  config.keep_final_scores = true;
+  const auto result = attack::TraceCampaign(rig, aes, config).run(rng);
+  RankScoreSet set;
+  set.scores.resize(16);
+  for (std::size_t b = 0; b < 16; ++b) {
+    std::copy_n(result.final_scores.begin() +
+                    static_cast<std::ptrdiff_t>(b * 256),
+                256, set.scores[b].begin());
+  }
+  const auto& rk = aes.cipher().round_keys()[10];
+  set.truth.assign(rk.begin(), rk.end());
+  return set;
+}
 
 void register_attack_oracles(std::vector<Oracle>& out) {
   out.push_back(make_oracle(
@@ -377,6 +555,10 @@ void register_attack_oracles(std::vector<Oracle>& out) {
       "TraceCampaign killed at a generated point and resumed from its "
       "checkpoint vs an uninterrupted run: bit-identical CampaignResult",
       1, campaign_resume_property()));
+  out.push_back(make_oracle(
+      "estimate_key_rank_general (tail-only convolve_gather chain) vs the "
+      "dense Histogram::convolve chain: memcmp-equal rank bounds",
+      1, key_rank_property()));
 }
 
 }  // namespace leakydsp::verify

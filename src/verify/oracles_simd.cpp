@@ -3,7 +3,8 @@
 //     scalar reference tier: byte-identical serialized accumulator state,
 //     at a generated batch split (which must also match the unsplit run),
 //   - the element-op tiers (fill/divides/budget arithmetic/thermometer
-//     count and the Hermite ScaleTable batch) vs the scalar tier: bitwise.
+//     count, the Hermite ScaleTable batch, the CSR product and the
+//     gather-form histogram convolution) vs the scalar tier: bitwise.
 //
 // Both oracles pin tiers through util::set_simd_tier_override and release
 // it on every exit path, so a failing case never leaks a pinned tier into
@@ -12,7 +13,9 @@
 // self-checks — still worth running: they cover the dispatch plumbing.
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <cstring>
 #include <optional>
 #include <sstream>
@@ -211,6 +214,31 @@ Property<SimdOpsConfig> simd_ops_property() {
       row_start[r + 1] = cols.size();
     }
 
+    // Convolution over a generated output range. a holds histogram-like
+    // counts (a quarter exact zeros) and NaN below the first bin the op
+    // may read, so a tier that reads outside its contract cannot match.
+    constexpr std::size_t kPad = util::simd::kConvolvePad;
+    const std::size_t nb = 1 + rng() % n;
+    const std::size_t conv_bins = n + nb - 1;
+    const std::size_t k_begin = rng() % conv_bins;
+    const std::size_t k_end = k_begin + 1 + rng() % (conv_bins - k_begin);
+    std::vector<double> conv_a(n);
+    std::vector<double> conv_b(nb + 2 * kPad, 0.0);
+    for (std::size_t i = 0; i < n; ++i) {
+      conv_a[i] = i + nb <= k_begin
+                      ? std::numeric_limits<double>::quiet_NaN()
+                      : (rng.bernoulli(0.25) ? 0.0 : rng.uniform(0.0, 1e6));
+    }
+    for (std::size_t j = 0; j < nb; ++j) {
+      conv_b[kPad + j] =
+          rng.bernoulli(0.25) ? 0.0 : std::floor(rng.uniform(0.0, 9.0));
+    }
+    const auto run_conv = [&](double* out) {
+      std::fill_n(out, conv_bins, -1.0);
+      util::simd::convolve_gather(conv_a.data(), n, conv_b.data() + kPad, nb,
+                                  out, k_begin, k_end);
+    };
+
     util::set_simd_tier_override(util::SimdTier::kScalar);
     util::aligned_vector<double> rf(n), rd(n), rs(n), rn(n), rq(n), rh(n);
     util::simd::fill(rf.data(), n, 0.5);
@@ -229,6 +257,8 @@ Property<SimdOpsConfig> simd_ops_property() {
     const double r_dot = util::simd::dot(x.data(), y.data(), n);
     util::simd::spmv(row_start.data(), cols.data(), vals.data(), x.data(),
                      r_spmv.data(), n);
+    std::vector<double> r_conv(conv_bins);
+    run_conv(r_conv.data());
 
     for (const util::SimdTier tier : available_tiers()) {
       util::set_simd_tier_override(tier);
@@ -281,6 +311,11 @@ Property<SimdOpsConfig> simd_ops_property() {
                        a.data(), n);
       if (!same_bits(r_spmv.data(), a.data(), n))
         return fail(std::string("spmv diverges under ") +
+                    util::to_string(tier));
+      std::vector<double> conv(conv_bins);
+      run_conv(conv.data());
+      if (!same_bits(r_conv.data(), conv.data(), conv_bins))
+        return fail(std::string("convolve_gather diverges under ") +
                     util::to_string(tier));
     }
     return pass();

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <vector>
 
 #include "attack/campaign.h"
@@ -15,8 +17,10 @@
 #include "crypto/aes128.h"
 #include "sim/scenarios.h"
 #include "sim/sensor_rig.h"
+#include "stats/histogram.h"
 #include "util/contracts.h"
 #include "util/rng.h"
+#include "verify/key_rank_reference.h"
 #include "victim/aes_core.h"
 #include "victim/power_virus.h"
 
@@ -223,6 +227,112 @@ TEST(KeyRank, MonotoneInScoreQuality) {
     prev_mid = bounds.log2_mid();
   }
   EXPECT_LT(prev_mid, 16.0);
+}
+
+namespace {
+
+bool same_bounds(const la::KeyRankBounds& a, const la::KeyRankBounds& b) {
+  return std::memcmp(&a.log2_lower, &b.log2_lower, sizeof(double)) == 0 &&
+         std::memcmp(&a.log2_upper, &b.log2_upper, sizeof(double)) == 0;
+}
+
+/// Sum of the true key's per-byte bin indices, on the estimator's geometry.
+std::size_t true_bin_sum(const std::vector<std::array<double, 256>>& scores,
+                         const std::vector<std::uint8_t>& truth,
+                         const la::KeyRankParams& params) {
+  const auto geo = la::detail::rank_geometry(scores, truth, params);
+  const leakydsp::stats::Histogram grid(geo.lo, geo.hi, geo.bins);
+  std::size_t sum = 0;
+  for (std::size_t b = 0; b < truth.size(); ++b) {
+    sum += grid.bin_index(geo.ll[b][truth[b]]);
+  }
+  return sum;
+}
+
+}  // namespace
+
+TEST(KeyRank, BrokenKeyAtRankOneMatchesReference) {
+  // Every byte's truth is its unique top score, so every true bin is the
+  // last one: lower_from = true_bin_sum + slack clamps to the last joint
+  // bin, and the tail the estimator computes is a few bins wide.
+  lu::Rng rng(212);
+  std::array<double, 256> row{};
+  for (auto& s : row) s = rng.uniform(0.01, 0.02);
+  row[0x3c] = 0.9;
+  const std::vector<std::array<double, 256>> scores(16, row);
+  const std::vector<std::uint8_t> truth(16, 0x3c);
+  const la::KeyRankParams params;
+  const std::size_t joint_bins = 16 * params.bins + 1;
+  ASSERT_EQ(true_bin_sum(scores, truth, params), 16 * params.bins);
+  ASSERT_GT(true_bin_sum(scores, truth, params) + 16, joint_bins - 1);
+
+  const auto bounds = la::estimate_key_rank_general(scores, truth, params);
+  EXPECT_TRUE(same_bounds(
+      bounds, leakydsp::verify::reference_estimate_key_rank(scores, truth,
+                                                            params)));
+  EXPECT_EQ(bounds.log2_lower, 0.0);  // rank 1
+  EXPECT_LT(bounds.log2_upper, 16.0);
+}
+
+TEST(KeyRank, WorstKeyWithUpperFromZeroMatchesReference) {
+  // Every byte's truth is its lowest score: the true bin sum is 0, so
+  // upper_from = 0 and the estimator computes the whole joint histogram.
+  lu::Rng rng(213);
+  std::array<double, 256> row{};
+  for (auto& s : row) s = rng.uniform(0.02, 0.03);
+  row[0xa5] = 0.001;
+  const std::vector<std::array<double, 256>> scores(16, row);
+  const std::vector<std::uint8_t> truth(16, 0xa5);
+  const la::KeyRankParams params;
+  ASSERT_EQ(true_bin_sum(scores, truth, params), 0u);
+
+  const auto bounds = la::estimate_key_rank_general(scores, truth, params);
+  EXPECT_TRUE(same_bounds(
+      bounds, leakydsp::verify::reference_estimate_key_rank(scores, truth,
+                                                            params)));
+  EXPECT_EQ(bounds.log2_upper, 128.0);  // clamped at 2^128 keys
+  EXPECT_GT(bounds.log2_lower, 127.0);
+}
+
+TEST(KeyRank, MatchesReferenceBitwiseAcrossShapes) {
+  lu::Rng rng(214);
+  for (int trial = 0; trial < 24; ++trial) {
+    const std::size_t n = 1 + static_cast<std::size_t>(trial) % 16;
+    std::vector<std::array<double, 256>> scores(n);
+    std::vector<std::uint8_t> truth(n);
+    for (std::size_t b = 0; b < n; ++b) {
+      truth[b] = static_cast<std::uint8_t>(rng() & 0xff);
+      for (auto& s : scores[b]) s = rng.uniform(0.01, 0.03);
+      if (rng.bernoulli(0.6)) scores[b][truth[b]] += rng.uniform(0.0, 0.9);
+    }
+    la::KeyRankParams params;
+    params.bins = 64 + rng.uniform_u64(961);
+    const auto bounds = la::estimate_key_rank_general(scores, truth, params);
+    const auto reference =
+        leakydsp::verify::reference_estimate_key_rank(scores, truth, params);
+    EXPECT_TRUE(same_bounds(bounds, reference))
+        << "trial " << trial << " n " << n << " bins " << params.bins
+        << ": [" << bounds.log2_lower << ", " << bounds.log2_upper
+        << "] vs [" << reference.log2_lower << ", " << reference.log2_upper
+        << "]";
+  }
+}
+
+TEST(KeyRank, RankBoundsReadOnlyTheTail) {
+  // Bins below true_bin_sum - n_bytes are never read: NaN there must not
+  // reach the bounds.
+  std::vector<double> joint(4 * 63 + 1, 1.0);
+  const std::size_t tbs = 100;
+  const std::size_t upper_from = tbs - 4;
+  const auto clean =
+      la::detail::rank_bounds(joint.data(), joint.size(), tbs, 4);
+  std::fill(joint.begin(), joint.begin() + upper_from,
+            std::numeric_limits<double>::quiet_NaN());
+  const auto tail =
+      la::detail::rank_bounds(joint.data(), joint.size(), tbs, 4);
+  EXPECT_TRUE(same_bounds(clean, tail));
+  EXPECT_EQ(tail.log2_upper, std::log2(1.0 + (joint.size() - upper_from)));
+  EXPECT_EQ(tail.log2_lower, std::log2(1.0 + (joint.size() - tbs - 4 - 1)));
 }
 
 TEST(KeyRank, BoundsAlwaysOrdered) {

@@ -110,22 +110,22 @@ TEST(NetlistFuzz, RandomDagsRoundTripAndAuditWithoutCrashing) {
     for (std::size_t i = 0; i < cells; ++i) {
       switch (rng.uniform_u64(5)) {
         case 0:
-          nl.add_cell(lf::CellType::kLut, "l" + std::to_string(i),
+          nl.add_cell(lf::CellType::kLut, std::string("l").append(std::to_string(i)),
                       lf::LutConfig{1 + static_cast<int>(rng.uniform_u64(6)),
                                     0x2});
           break;
         case 1:
-          nl.add_cell(lf::CellType::kFf, "f" + std::to_string(i),
+          nl.add_cell(lf::CellType::kFf, std::string("f").append(std::to_string(i)),
                       lf::FfConfig{rng.bernoulli(0.2)});
           break;
         case 2:
-          nl.add_cell(lf::CellType::kCarry4, "c" + std::to_string(i),
+          nl.add_cell(lf::CellType::kCarry4, std::string("c").append(std::to_string(i)),
                       lf::Carry4Config{4},
                       lf::SiteCoord{static_cast<int>(rng.uniform_u64(20)),
                                     static_cast<int>(rng.uniform_u64(20))});
           break;
         case 3:
-          nl.add_cell(lf::CellType::kDsp48, "d" + std::to_string(i),
+          nl.add_cell(lf::CellType::kDsp48, std::string("d").append(std::to_string(i)),
                       rng.bernoulli(0.5)
                           ? lf::Dsp48Config::leaky_identity(
                                 lf::Architecture::kSeries7, true, true)
@@ -133,7 +133,7 @@ TEST(NetlistFuzz, RandomDagsRoundTripAndAuditWithoutCrashing) {
                                 lf::Architecture::kSeries7));
           break;
         default:
-          nl.add_cell(lf::CellType::kBuf, "b" + std::to_string(i));
+          nl.add_cell(lf::CellType::kBuf, std::string("b").append(std::to_string(i)));
           break;
       }
     }

@@ -70,6 +70,12 @@ bool identical_results(const la::CampaignResult& a,
   return true;
 }
 
+/// prefix followed by n, e.g. "c3". (Not `"c" + std::to_string(n)`:
+/// gcc 12 reports a false -Wrestrict on that insert path.)
+std::string job_id(const char* prefix, std::uint64_t n) {
+  return std::string(prefix).append(std::to_string(n));
+}
+
 /// A small standard campaign: 4 boundary steps of 2 blocks-per-stride
 /// each, never broken at these trace counts — enough steps for eviction
 /// and fairness to be observable while staying fast.
@@ -188,7 +194,7 @@ TEST(CampaignServiceTest, UncontendedDrainMatchesStandaloneByteForByte) {
   const std::uint64_t seeds[] = {11, 22, 33};
   std::vector<ls::StandardCampaignSpec> specs;
   for (const std::uint64_t seed : seeds) {
-    specs.push_back(make_spec("job" + std::to_string(seed), seed, ""));
+    specs.push_back(make_spec(job_id("job", seed), seed, ""));
     service.enqueue(ls::make_standard_job(specs.back()));
   }
   const auto outcomes = service.drain();
@@ -214,7 +220,7 @@ TEST(CampaignServiceTest, EvictedCampaignsRehydrateByteIdentical) {
   std::vector<ls::StandardCampaignSpec> specs;
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
     specs.push_back(
-        make_spec("c" + std::to_string(seed), seed * 97, dir.path()));
+        make_spec(job_id("c", seed), seed * 97, dir.path()));
     service.enqueue(ls::make_standard_job(specs.back()));
   }
   const auto outcomes = service.drain();
@@ -309,7 +315,7 @@ TEST(CampaignServiceTest, MemoryBudgetBoundsResidencyWithoutChangingResults) {
   std::vector<ls::StandardCampaignSpec> specs;
   for (std::uint64_t seed = 1; seed <= 3; ++seed) {
     specs.push_back(
-        make_spec("m" + std::to_string(seed), seed * 31, dir.path()));
+        make_spec(job_id("m", seed), seed * 31, dir.path()));
   }
   const std::size_t task_bytes =
       ls::make_standard_world(specs[0])->campaign().approx_task_bytes();
@@ -391,7 +397,7 @@ TEST(CampaignServiceTest, RecordJobRunsThroughContendedEvictions) {
   std::vector<ls::StandardCampaignSpec> attacks;
   for (std::uint64_t seed = 1; seed <= 2; ++seed) {
     attacks.push_back(
-        make_spec("a" + std::to_string(seed), seed * 61, dir.path()));
+        make_spec(job_id("a", seed), seed * 61, dir.path()));
     service.enqueue(ls::make_standard_job(attacks.back()));
   }
   // The record job queues behind two attack jobs and ahead of two more,
@@ -407,7 +413,7 @@ TEST(CampaignServiceTest, RecordJobRunsThroughContendedEvictions) {
   service.enqueue(std::move(record_job));
   for (std::uint64_t seed = 3; seed <= 4; ++seed) {
     attacks.push_back(
-        make_spec("a" + std::to_string(seed), seed * 61, dir.path()));
+        make_spec(job_id("a", seed), seed * 61, dir.path()));
     service.enqueue(ls::make_standard_job(attacks.back()));
   }
   const auto outcomes = service.drain();
@@ -511,7 +517,7 @@ TEST(CampaignServiceTest, WorkersBuildWorldsConcurrently) {
   std::vector<ls::StandardCampaignSpec> specs;
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
     specs.push_back(
-        make_spec("b" + std::to_string(seed), seed * 13, dir.path()));
+        make_spec(job_id("b", seed), seed * 13, dir.path()));
     service.enqueue(probed(ls::make_standard_job(specs.back()), probe));
   }
   const auto outcomes = service.drain();
@@ -539,7 +545,7 @@ TEST(CampaignServiceTest, LiveWorldsNeverExceedMaxResident) {
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
     service.enqueue(probed(
         ls::make_standard_job(
-            make_spec("w" + std::to_string(seed), seed * 29, dir.path())),
+            make_spec(job_id("w", seed), seed * 29, dir.path())),
         probe));
   }
   (void)service.drain();
@@ -572,7 +578,7 @@ TEST(CampaignServiceTest, ThrowingFactoryAbortsDrainWhileOthersBuild) {
     for (std::uint64_t seed = 4; seed <= 5; ++seed) {
       service.enqueue(probed(
           ls::make_standard_job(
-              make_spec("p" + std::to_string(seed), seed, dir.path())),
+              make_spec(job_id("p", seed), seed, dir.path())),
           probe));
     }
     try {

@@ -1,15 +1,20 @@
 // Unit and property tests for the stats substrate: accumulators agree with
-// closed-form batch formulas, histogram convolution matches brute force.
+// closed-form batch formulas, histogram convolution matches brute force,
+// and the gather-form SIMD convolution matches Histogram::convolve bitwise.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <optional>
 #include <vector>
 
 #include "stats/accumulators.h"
 #include "stats/descriptive.h"
 #include "stats/histogram.h"
 #include "util/contracts.h"
+#include "util/cpu_features.h"
 #include "util/rng.h"
+#include "util/simd_ops.h"
 
 namespace ls = leakydsp::stats;
 namespace lu = leakydsp::util;
@@ -184,6 +189,65 @@ TEST(Histogram, ConvolutionMatchesBruteForce) {
     EXPECT_DOUBLE_EQ(c.count(i), expected[i]) << "bin " << i;
   }
   EXPECT_DOUBLE_EQ(c.total(), 16.0);
+}
+
+TEST(Histogram, ConvolveGatherMatchesScatterBitwise) {
+  // Key-rank-like operands: a joint histogram with large non-integer
+  // counts (so the adds round) and empty bins, convolved with a byte
+  // histogram of 256 unit counts.
+  // Every tier must reproduce Histogram::convolve bit for bit, on the full
+  // output range and on tail ranges (the bins the key-rank bounds read).
+  struct TierRelease {
+    ~TierRelease() { lu::set_simd_tier_override(std::nullopt); }
+  } release;
+  std::vector<lu::SimdTier> tiers{lu::SimdTier::kScalar};
+  if (lu::detected_simd_tier() >= lu::SimdTier::kAvx2)
+    tiers.push_back(lu::SimdTier::kAvx2);
+  if (lu::detected_simd_tier() >= lu::SimdTier::kAvx512)
+    tiers.push_back(lu::SimdTier::kAvx512);
+
+  lu::Rng rng(4242);
+  constexpr std::size_t kPad = lu::simd::kConvolvePad;
+  for (const std::size_t na : {std::size_t{1}, std::size_t{7}, std::size_t{65},
+                               std::size_t{513}, std::size_t{1537}}) {
+    for (const std::size_t nb : {std::size_t{1}, std::size_t{9},
+                                 std::size_t{129}, std::size_t{513}}) {
+      ls::Histogram a(0.0, static_cast<double>(na), na);
+      ls::Histogram b(0.0, static_cast<double>(nb), nb);
+      for (std::size_t i = 0; i < na; ++i) {
+        if (rng.bernoulli(0.3)) continue;
+        a.add(static_cast<double>(i) + 0.5,
+              std::floor(rng.uniform(0.0, 1e9)) + rng.uniform());
+      }
+      for (int g = 0; g < 256; ++g) {
+        b.add(rng.uniform(0.0, static_cast<double>(nb)));
+      }
+      const auto dense = a.convolve(b);
+      const std::size_t out_bins = na + nb - 1;
+      ASSERT_EQ(dense.bins(), out_bins);
+      std::vector<double> padded(nb + 2 * kPad, 0.0);
+      std::copy(b.counts().begin(), b.counts().end(), padded.begin() + kPad);
+      for (const lu::SimdTier tier : tiers) {
+        lu::set_simd_tier_override(tier);
+        for (const std::size_t from :
+             {std::size_t{0}, out_bins / 3, out_bins - 1}) {
+          std::vector<double> out(out_bins, -1.0);
+          lu::simd::convolve_gather(a.counts().data(), na,
+                                    padded.data() + kPad, nb, out.data(), from,
+                                    out_bins);
+          EXPECT_EQ(std::memcmp(out.data() + from,
+                                dense.counts().data() + from,
+                                (out_bins - from) * sizeof(double)),
+                    0)
+              << "tier " << lu::to_string(tier) << " na " << na << " nb "
+              << nb << " from " << from;
+          for (std::size_t k = 0; k < from; ++k) {
+            ASSERT_EQ(out[k], -1.0) << "wrote below the requested range";
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(Histogram, ConvolveRequiresEqualWidths) {
